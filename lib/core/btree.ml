@@ -26,7 +26,7 @@ type t = {
   cfg : config;
   ec : Entries.ctx;
   sc : Scratch.t;
-  aim : Entries.aim; (* (node, probe) the reusable entry_ops reads *)
+  cu : Node_search.cursor; (* the FINDNODE cursor, re-aimed per (node, probe) *)
   leaf_max : int;
   internal_max : int;
   child_base : int; (* offset of the child-pointer array within a node *)
@@ -34,7 +34,6 @@ type t = {
   mutable tree_height : int;
   mutable n_nodes : int;
   mutable n_keys : int;
-  mutable bops : Node_search.entry_ops option;
   mutable router : Group.router option;
 }
 
@@ -57,14 +56,16 @@ let create mem records cfg =
     Mem.new_region mem ~initial_capacity:(1 lsl 20) ~name:("btree-" ^ Layout.scheme_tag cfg.scheme)
       ()
   in
+  let ec =
+    Entries.make ~name:"Btree" ~reg ~records ~scheme:cfg.scheme ~entries_at (Counters.create ())
+  in
   {
     reg;
     records;
     cfg;
-    ec =
-      Entries.make ~name:"Btree" ~reg ~records ~scheme:cfg.scheme ~entries_at (Counters.create ());
+    ec;
     sc = Scratch.create ();
-    aim = Entries.make_aim ();
+    cu = Entries.cursor ec ~shift:0 ~naive:cfg.naive_search;
     leaf_max;
     internal_max;
     child_base = entries_at + (internal_max * esz);
@@ -72,7 +73,6 @@ let create mem records cfg =
     tree_height = 0;
     n_nodes = 0;
     n_keys = 0;
-    bops = None;
     router = None;
   }
 
@@ -234,11 +234,8 @@ let rec insert_nonfull t node key rid ~base =
     if num_keys t c = capacity t c then begin
       split_child t node !pos;
       fix_pk_after_separator t node !pos ~base;
-      let c', _ = Key.compare_detail key (entry_key t node !pos) in
-      match c' with
-      | Key.Eq -> descend_dup := true
-      | Key.Gt -> incr pos
-      | Key.Lt -> ()
+      let c' = Entries.key_sign t.ec node !pos key in
+      if c' = 0 then descend_dup := true else if c' > 0 then incr pos
     end;
     if !descend_dup then false
     else
@@ -281,82 +278,36 @@ let insert t key ~rid =
       if ok then t.n_keys <- t.n_keys + 1;
       ok)
 
-(* {2 Lookup} *)
+(* {2 Lookup}
 
-(* One entry_ops per tree, re-aimed via [t.aim]. *)
-let batch_ops t =
-  match t.bops with
-  | Some ops -> ops
-  | None ->
-      let ops = Entries.make_ops t.ec t.aim ~shift:0 in
-      t.bops <- Some ops;
-      ops
-
-let find_fn t = if t.cfg.naive_search then Node_search.naive_find_node else Node_search.find_node
+   Both descents are top-level recursions returning the rid or [-1];
+   [lookup] boxes only the final [Some rid].  The partial-key path runs
+   FINDNODE over the tree's cursor ({!Node_search.find}) with packed
+   states, so a lookup allocates nothing per node. *)
 
 (* FINDBTREE (Fig. 8): descend with FINDNODE per node. *)
-let lookup_partial t search =
-  let find = find_fn t in
-  let rel0, off0 = Partial_key.initial_state (Entries.granularity t.ec) search in
-  let ops = batch_ops t in
-  t.aim.Entries.search <- search;
-  let rec go node rel off =
-    visit t node;
-    t.aim.Entries.node <- node;
-    ops.Node_search.num_keys <- num_keys t node;
-    let r = find ops ~rel0:rel ~off0:off in
-    if r.Node_search.low = r.Node_search.high then Some (rec_ptr t node r.Node_search.low)
-    else if is_leaf t node then None
-    else begin
-      let rel' = if r.Node_search.low = -1 then rel else Key.Gt in
-      route_ev t node r.Node_search.high;
-      go (child t node r.Node_search.high) rel' r.Node_search.off_low
-    end
-  in
-  if t.root = null then None else go t.root rel0 off0
+let[@pklint.hot] rec descend_partial t node st =
+  let cu = t.cu in
+  visit t node;
+  cu.Node_search.node <- node;
+  cu.Node_search.num_keys <- num_keys t node;
+  Node_search.find cu st;
+  if cu.Node_search.low = cu.Node_search.high then rec_ptr t node cu.Node_search.low
+  else if is_leaf t node then -1
+  else begin
+    (* Child state: the base of the child's entry 0 is [key_low]. *)
+    let st' =
+      if cu.Node_search.low = -1 then Key.Packed.make (Key.Packed.code st) cu.Node_search.off_low
+      else Key.Packed.make Key.Packed.gt cu.Node_search.off_low
+    in
+    let ci = cu.Node_search.high in
+    route_ev t node ci;
+    descend_partial t (child t node ci) st'
+  end
 
-(* Direct / indirect lookup: binary search per node. *)
-let lookup_plain t search =
-  let rec node_search node lo hi =
-    if lo >= hi then `Child lo
-    else
-      let mid = (lo + hi) / 2 in
-      match Entries.probe_cmp t.ec node search mid with
-      | Key.Eq -> `Found (rec_ptr t node mid)
-      | Key.Lt -> node_search node lo mid
-      | Key.Gt -> node_search node (mid + 1) hi
-  in
-  let rec go node =
-    visit t node;
-    match node_search node 0 (num_keys t node) with
-    | `Found rid -> Some rid
-    | `Child i ->
-        if is_leaf t node then None
-        else begin
-          route_ev t node i;
-          go (child t node i)
-        end
-  in
-  if t.root = null then None else go t.root
-
-let lookup t search =
-  match t.cfg.scheme with
-  | Layout.Partial _ -> lookup_partial t search
-  | Layout.Direct _ | Layout.Indirect -> lookup_plain t search
-
-(* {2 Batched lookup hooks (group descent)}
-
-   The engine ({!module:Engine.Group}) sorts the batch and descends it
-   as contiguous per-child runs; the router below supplies only the
-   per-probe in-node resolution.  For the direct and indirect schemes
-   everything is sign-only comparisons ({!val:Mem.compare_sign}) — a
-   steady-state batch performs no heap allocation per probe.  The
-   partial-key path reuses one mutable {!type:Node_search.entry_ops}
-   re-aimed at each (node, probe); only FINDNODE's result records and
-   comparison pairs are allocated. *)
-
-(* Binary search for [probe]; [lnot pos] (negative) encodes an exact
-   match at [pos], a non-negative result is the child slot. *)
+(* Direct / indirect lookup: binary search per node.  [lnot pos]
+   (negative) encodes an exact match at [pos], a non-negative result
+   is the child slot. *)
 let[@pklint.hot] rec plain_locate t node probe lo hi =
   if lo >= hi then lo
   else
@@ -366,14 +317,91 @@ let[@pklint.hot] rec plain_locate t node probe lo hi =
     else if c < 0 then plain_locate t node probe lo mid
     else plain_locate t node probe (mid + 1) hi
 
+let[@pklint.hot] rec descend_plain t node probe =
+  visit t node;
+  let r = plain_locate t node probe 0 (num_keys t node) in
+  if r < 0 then rec_ptr t node (lnot r)
+  else if is_leaf t node then -1
+  else begin
+    route_ev t node r;
+    descend_plain t (child t node r) probe
+  end
+
+let[@pklint.hot] lookup_rid t search =
+  if t.root = null then -1
+  else
+    match t.cfg.scheme with
+    | Layout.Partial _ ->
+        t.cu.Node_search.search <- search;
+        descend_partial t t.root (Partial_key.initial_packed t.ec.Entries.gran search)
+    | Layout.Direct _ | Layout.Indirect -> descend_plain t t.root search
+
+let lookup t search =
+  let r = lookup_rid t search in
+  if r < 0 then None else Some r
+
+(* {2 Batched lookup hooks (group descent)}
+
+   The engine ({!module:Engine.Group}) sorts the batch and descends it
+   as contiguous per-child runs; the router below supplies only the
+   per-probe in-node resolution, through top-level hooks over the
+   per-probe scratch arrays.  The direct and indirect schemes use
+   sign-only comparisons ({!val:Mem.compare_sign}); the partial-key
+   path re-aims the tree's cursor at each (node, probe) and runs
+   FINDNODE from the probe's packed state.  A steady-state batch
+   performs no heap allocation per probe under any scheme. *)
+
+let[@pklint.hot] plain_route t node n slot =
+  let sc = t.sc in
+  let r = plain_locate t node sc.Scratch.keys.(slot) 0 n in
+  if r < 0 then begin
+    sc.Scratch.out.(slot) <- rec_ptr t node (lnot r);
+    -1
+  end
+  else r
+
+let[@pklint.hot] plain_leaf t node n slot =
+  let sc = t.sc in
+  let r = plain_locate t node sc.Scratch.keys.(slot) 0 n in
+  sc.Scratch.out.(slot) <- (if r < 0 then rec_ptr t node (lnot r) else -1)
+
+(* Re-aim the cursor at (node, probe) and run FINDNODE from the probe's
+   accumulated descent state. *)
+let[@pklint.hot] partial_resolve t node n slot =
+  let cu = t.cu and sc = t.sc in
+  cu.Node_search.node <- node;
+  cu.Node_search.search <- sc.Scratch.keys.(slot);
+  cu.Node_search.num_keys <- n;
+  Node_search.find cu sc.Scratch.st.(slot)
+
+let[@pklint.hot] partial_route t node n slot =
+  let cu = t.cu and sc = t.sc in
+  partial_resolve t node n slot;
+  if cu.Node_search.low = cu.Node_search.high then begin
+    sc.Scratch.out.(slot) <- rec_ptr t node cu.Node_search.low;
+    -1
+  end
+  else begin
+    (* FINDBTREE child-state update (Fig. 8). *)
+    let st = sc.Scratch.st.(slot) in
+    let code = if cu.Node_search.low <> -1 then Key.Packed.gt else Key.Packed.code st in
+    sc.Scratch.st.(slot) <- Key.Packed.make code cu.Node_search.off_low;
+    cu.Node_search.high
+  end
+
+let[@pklint.hot] partial_leaf t node n slot =
+  let cu = t.cu in
+  partial_resolve t node n slot;
+  t.sc.Scratch.out.(slot) <-
+    (if cu.Node_search.low = cu.Node_search.high then rec_ptr t node cu.Node_search.low else -1)
+
 let router t =
   match t.router with
   | Some r -> r
   | None ->
-      let sc = t.sc in
       let common route leaf_probe =
         {
-          Group.sc;
+          Group.sc = t.sc;
           is_leaf = is_leaf t;
           num_keys = num_keys t;
           child = child t;
@@ -386,45 +414,12 @@ let router t =
         match t.cfg.scheme with
         | Layout.Direct _ | Layout.Indirect ->
             common
-              (fun node n slot ->
-                let r = plain_locate t node sc.Scratch.keys.(slot) 0 n in
-                if r < 0 then begin
-                  sc.Scratch.out.(slot) <- rec_ptr t node (lnot r);
-                  -1
-                end
-                else r)
-              (fun node n slot ->
-                let r = plain_locate t node sc.Scratch.keys.(slot) 0 n in
-                sc.Scratch.out.(slot) <- (if r < 0 then rec_ptr t node (lnot r) else -1))
+              (fun node n slot -> plain_route t node n slot)
+              (fun node n slot -> plain_leaf t node n slot)
         | Layout.Partial _ ->
-            let find = find_fn t in
-            let ops = batch_ops t in
-            (* Re-aim the shared ops at (node, probe) and run FINDNODE
-               from the probe's accumulated descent state. *)
-            let resolve node n slot =
-              t.aim.Entries.node <- node;
-              t.aim.Entries.search <- sc.Scratch.keys.(slot);
-              ops.Node_search.num_keys <- n;
-              find ops ~rel0:sc.Scratch.rel.(slot) ~off0:sc.Scratch.off.(slot)
-            in
             common
-              (fun node n slot ->
-                let r = resolve node n slot in
-                if r.Node_search.low = r.Node_search.high then begin
-                  sc.Scratch.out.(slot) <- rec_ptr t node r.Node_search.low;
-                  -1
-                end
-                else begin
-                  (* FINDBTREE child-state update (Fig. 8). *)
-                  if r.Node_search.low <> -1 then sc.Scratch.rel.(slot) <- Key.Gt;
-                  sc.Scratch.off.(slot) <- r.Node_search.off_low;
-                  r.Node_search.high
-                end)
-              (fun node n slot ->
-                let r = resolve node n slot in
-                sc.Scratch.out.(slot) <-
-                  (if r.Node_search.low = r.Node_search.high then rec_ptr t node r.Node_search.low
-                   else -1))
+              (fun node n slot -> partial_route t node n slot)
+              (fun node n slot -> partial_leaf t node n slot)
       in
       t.router <- Some r;
       r
@@ -854,13 +849,9 @@ module Structure = struct
     let sc = t.sc in
     sc.Scratch.perm <- Engine.ensure_int sc.Scratch.perm n;
     if is_partial t then begin
-      sc.Scratch.rel <- Engine.ensure_cmp sc.Scratch.rel n;
-      sc.Scratch.off <- Engine.ensure_int sc.Scratch.off n;
-      let g = Entries.granularity t.ec in
+      sc.Scratch.st <- Engine.ensure_int sc.Scratch.st n;
       for i = 0 to n - 1 do
-        let rel, off = Partial_key.initial_state g keys.(i) in
-        sc.Scratch.rel.(i) <- rel;
-        sc.Scratch.off.(i) <- off
+        sc.Scratch.st.(i) <- Partial_key.initial_packed t.ec.Entries.gran keys.(i)
       done
     end
 
@@ -897,16 +888,17 @@ module Structure = struct
   (* Header clone over the snapshot-view regions: pinned scalar state,
      fresh caches/scratch so nothing reaches back into the live tree. *)
   let snapshot_view t ~reg ~records =
+    let ec =
+      Entries.make ~name:"Btree" ~reg ~records ~scheme:t.cfg.scheme ~entries_at
+        (Counters.create ())
+    in
     {
       t with
       reg;
       records;
-      ec =
-        Entries.make ~name:"Btree" ~reg ~records ~scheme:t.cfg.scheme ~entries_at
-          (Counters.create ());
+      ec;
       sc = Scratch.create ();
-      aim = Entries.make_aim ();
-      bops = None;
+      cu = Entries.cursor ec ~shift:0 ~naive:t.cfg.naive_search;
       router = None;
     }
 

@@ -38,9 +38,6 @@ let pow2_at_least n = pow2_at_least (max n 1) 16
 
 let ensure_int a n = if Array.length a >= n then a else Array.make (pow2_at_least n) 0
 
-let ensure_cmp (a : Key.cmp array) n =
-  if Array.length a >= n then a else Array.make (pow2_at_least n) Key.Eq
-
 let fill_perm perm n =
   for i = 0 to n - 1 do
     perm.(i) <- i
@@ -192,8 +189,7 @@ end
 module Scratch = struct
   type t = {
     mutable perm : int array;  (* sorted probe permutation *)
-    mutable rel : Key.cmp array;  (* per-probe FINDNODE rel state *)
-    mutable off : int array;  (* per-probe FINDNODE offset state *)
+    mutable st : int array;  (* per-probe packed FINDNODE state (Key.Packed) *)
     mutable la : int array;  (* per-probe offset at the last Gt ancestor *)
     mutable sign : int array;  (* per-probe sign at the current node *)
     mutable keys : Key.t array;  (* current batch's probes *)
@@ -201,7 +197,7 @@ module Scratch = struct
   }
 
   let create () =
-    { perm = [||]; rel = [||]; off = [||]; la = [||]; sign = [||]; keys = [||]; out = [||] }
+    { perm = [||]; st = [||]; la = [||]; sign = [||]; keys = [||]; out = [||] }
 end
 
 (* {2 Fault-guard wrapping}
@@ -240,10 +236,27 @@ module Entries = struct
     esz : int;
     entries_at : int;  (* offset of the entry array within a node *)
     cnt : Counters.t;
+    gran : Partial_key.granularity;  (* [Byte] placeholder under plain schemes *)
+    pkbuf : bytes;  (* stored-unit scratch of the packed comparisons *)
   }
 
   let make ~name ~reg ~records ~scheme ~entries_at cnt =
-    { name; reg; records; scheme; esz = Layout.entry_size scheme; entries_at; cnt }
+    let gran =
+      match scheme with
+      | Layout.Partial { granularity; _ } -> granularity
+      | Layout.Direct _ | Layout.Indirect -> Partial_key.Byte
+    in
+    {
+      name;
+      reg;
+      records;
+      scheme;
+      esz = Layout.entry_size scheme;
+      entries_at;
+      cnt;
+      gran;
+      pkbuf = Layout.units_buf ();
+    }
 
   let entry_addr c node i = node + c.entries_at + (i * c.esz)
   let rec_ptr c node i = Layout.rec_ptr c.reg (entry_addr c node i)
@@ -253,11 +266,6 @@ module Entries = struct
     match c.scheme with
     | Layout.Direct { key_len } -> Layout.read_direct_key c.reg (entry_addr c node i) ~key_len
     | Layout.Indirect | Layout.Partial _ -> Record_store.read_key c.records (rec_ptr c node i)
-
-  let granularity c =
-    match c.scheme with
-    | Layout.Partial { granularity; _ } -> granularity
-    | Layout.Direct _ | Layout.Indirect -> assert false
 
   let l_bytes c =
     match c.scheme with
@@ -272,30 +280,23 @@ module Entries = struct
      scheme is partial. *)
   (* Only called from tree split/merge/insert bodies below an
      established guard — audited escape. *)
+  let encode c ~key ~base =
+    match base with
+    | None -> Partial_key.encode_initial c.gran ~l_bytes:(l_bytes c) ~key
+    | Some b -> Partial_key.encode c.gran ~l_bytes:(l_bytes c) ~base:b ~key
+
   let[@pklint.guarded] fix_pk c node i ~n ~base =
     if i >= 0 && i < n then begin
-      let g = granularity c and l = l_bytes c in
       let key = entry_key c node i in
-      let pk =
-        if i = 0 then
-          match base with
-          | None -> Partial_key.encode_initial g ~l_bytes:l ~key
-          | Some b -> Partial_key.encode g ~l_bytes:l ~base:b ~key
-        else Partial_key.encode g ~l_bytes:l ~base:(entry_key c node (i - 1)) ~key
-      in
-      Layout.write_pk c.reg (entry_addr c node i) ~l_bytes:l pk
+      let base = if i = 0 then base else Some (entry_key c node (i - 1)) in
+      Layout.write_pk c.reg (entry_addr c node i) ~l_bytes:(l_bytes c) (encode c ~key ~base)
     end
 
   (* Re-derive entry [i]'s stored partial key from the record keys and
      fail on mismatch (validators). *)
   let check_pk c node i ~key ~base =
-    let g = granularity c and l = l_bytes c in
-    let expect =
-      match base with
-      | None -> Partial_key.encode_initial g ~l_bytes:l ~key
-      | Some b -> Partial_key.encode g ~l_bytes:l ~base:b ~key
-    in
-    let got = Layout.read_pk c.reg (entry_addr c node i) ~granularity:g in
+    let expect = encode c ~key ~base in
+    let got = Layout.read_pk c.reg (entry_addr c node i) ~granularity:c.gran in
     if
       got.Partial_key.pk_off <> expect.Partial_key.pk_off
       || got.Partial_key.pk_len <> expect.Partial_key.pk_len
@@ -328,35 +329,38 @@ module Entries = struct
         Layout.write_direct_key c.reg a key
     | Layout.Indirect | Layout.Partial _ -> ()
 
-  (* Full-key binary search among [n] entries (update paths). *)
-  let locate c node ~n key =
-    let rec go lo hi =
-      (* invariant: entries [0,lo) < key < entries [hi,n) *)
-      if lo >= hi then (lo, false)
-      else
-        let mid = (lo + hi) / 2 in
-        let r, _ = Key.compare_detail key (entry_key c node mid) in
-        match r with Key.Eq -> (mid, true) | Key.Lt -> go lo mid | Key.Gt -> go (mid + 1) hi
-    in
-    go 0 n
+  (* Sign of c(key, entry i), compared in place with the memory traffic
+     of [entry_key] (same fault points, whole key charged), so the
+     update paths keep their simulator columns without copying keys. *)
+  let[@pklint.hot] key_sign c node i key =
+    match c.scheme with
+    | Layout.Direct { key_len } ->
+        -Layout.compare_read_direct c.reg (entry_addr c node i) ~key_len key
+    | Layout.Indirect | Layout.Partial _ ->
+        -Record_store.compare_read c.records (rec_ptr c node i) key
 
-  let byte_or_zero k i = if i < Bytes.length k then Char.code (Bytes.get k i) else 0
+  (* Full-key binary search among entries [lo, hi) (update paths):
+     invariant entries [0,lo) < key < entries [hi,n). *)
+  let rec locate_in c node key lo hi =
+    if lo >= hi then (lo, false)
+    else
+      let mid = (lo + hi) / 2 in
+      let r = key_sign c node mid key in
+      if r = 0 then (mid, true)
+      else if r < 0 then locate_in c node key lo mid
+      else locate_in c node key (mid + 1) hi
 
-  let bit_or_zero k i =
-    if i >= 8 * Bytes.length k then 0
-    else (Char.code (Bytes.get k (i lsr 3)) lsr (7 - (i land 7))) land 1
+  let locate c node ~n key = locate_in c node key 0 n
 
   (* Full comparison of the search key against entry [i]'s record key:
-     (c(search, key_i), d) in the scheme's granularity units. *)
-  let deref_entry c node search i =
+     packed c(search, key_i) and d in the scheme's granularity units. *)
+  let[@pklint.hot] deref_packed c node search i =
     Counters.deref c.cnt node i;
     let rid = rec_ptr c node i in
-    let r, d =
-      match granularity c with
-      | Partial_key.Bit -> Record_store.compare_key_bits c.records rid search
-      | Partial_key.Byte -> Record_store.compare_key c.records rid search
-    in
-    (Key.flip r, d)
+    Key.Packed.flip
+      (match c.gran with
+      | Partial_key.Bit -> Record_store.compare_bits_packed c.records rid search
+      | Partial_key.Byte -> Record_store.compare_packed c.records rid search)
 
   (* Sign of c(probe, entry i), allocation-free (plain schemes only). *)
   let[@pklint.hot] probe_sign c node probe i =
@@ -370,69 +374,61 @@ module Entries = struct
         -Record_store.compare_sign c.records (rec_ptr c node i) probe
     | Layout.Partial _ -> assert false
 
-  (* c(probe, entry i) as a {!type:Key.cmp} (plain schemes only). *)
-  let probe_cmp c node probe i =
-    match c.scheme with
-    | Layout.Direct { key_len } ->
-        let r, _ = Layout.compare_direct c.reg (entry_addr c node i) ~key_len probe in
-        Key.flip r
-    | Layout.Indirect ->
-        Counters.deref c.cnt node i;
-        let r, _ = Record_store.compare_key c.records (rec_ptr c node i) probe in
-        Key.flip r
-    | Layout.Partial _ -> assert false
+  (* {3 Packed FINDNODE accessors}
 
-  (* FINDNODE entry_ops aimed through a mutable cursor: one ops record
-     per tree, re-aimed at each (node, search) instead of rebuilt. *)
-  type aim = { mutable node : int; mutable search : Key.t }
+     The cursor's closures are built once per tree; each forwards to a
+     top-level function reading entry [i + shift] of the aimed node. *)
 
-  let make_aim () = { node = null; search = Bytes.empty }
+  let[@pklint.hot] cur_pk_off c shift (cu : Node_search.cursor) i =
+    Layout.read_pk_off c.reg (entry_addr c cu.node (i + shift))
 
-  let make_ops c aim ~shift : Node_search.entry_ops =
-    let g = granularity c in
-    {
-      Node_search.num_keys = 0 (* patched per node by the caller *);
-      pk_off = (fun i -> Layout.read_pk_off c.reg (entry_addr c aim.node (i + shift)));
-      resolve_units =
-        (fun i ~rel ~off ->
-          Layout.resolve_pk_units c.reg
-            (entry_addr c aim.node (i + shift))
-            ~scheme_granularity:g ~search:aim.search ~rel ~off);
-      branch_unit =
-        (fun i ->
-          match g with
-          | Partial_key.Bit -> 1
-          | Partial_key.Byte -> Layout.read_pk_first_byte c.reg (entry_addr c aim.node (i + shift)));
-      search_unit =
-        (fun u ->
-          match g with
-          | Partial_key.Bit -> bit_or_zero aim.search u
-          | Partial_key.Byte -> byte_or_zero aim.search u);
-      deref = (fun i -> deref_entry c aim.node aim.search (i + shift));
-    }
+  let[@pklint.hot] cur_units c shift (cu : Node_search.cursor) i st =
+    Layout.resolve_pk_units_packed c.reg
+      (entry_addr c cu.node (i + shift))
+      c.gran ~buf:c.pkbuf ~search:cu.search st
 
-  (* Partial-key comparison of [search] against entry 0 — FINDTTREE's
-     per-level step.  Offset-only resolution first (the common case
-     touches just the pk_off field), units next, one dereference on
-     partial-key equality. *)
-  let head_pk_cmp c node search ~rel ~off =
+  let[@pklint.hot] cur_first_byte c shift (cu : Node_search.cursor) i =
+    Layout.read_pk_first_byte c.reg (entry_addr c cu.node (i + shift))
+
+  let[@pklint.hot] cur_deref c shift (cu : Node_search.cursor) i =
+    deref_packed c cu.node cu.search (i + shift)
+
+  let cursor c ~shift ~naive =
+    Node_search.cursor ~naive
+      ~pk_off:(fun cu i -> cur_pk_off c shift cu i)
+      ~units:(fun cu i st -> cur_units c shift cu i st)
+      ~branch_unit:
+        (match c.gran with
+        | Partial_key.Bit -> fun _ _ -> 1
+        | Partial_key.Byte -> fun cu i -> cur_first_byte c shift cu i)
+      ~search_unit:
+        (match c.gran with
+        | Partial_key.Bit -> fun cu u -> Pk_keys.Bitops.bit_or_zero cu.Node_search.search u
+        | Partial_key.Byte -> fun cu u -> Pk_keys.Bitops.byte_or_zero cu.Node_search.search u)
+      ~deref:(fun cu i -> cur_deref c shift cu i)
+
+  (* Partial-key comparison of [search] against entry 0 from packed
+     state [st] — FINDTTREE's per-level step.  Offset-only resolution
+     first (the common case touches just the pk_off field), units next,
+     one dereference on partial-key equality. *)
+  let[@pklint.hot] head_pk_cmp c node search st =
     let a0 = entry_addr c node 0 in
-    let r, o =
-      match Pk_compare.resolve_by_offset ~rel ~off ~pk_off:(Layout.read_pk_off c.reg a0) with
-      | Pk_compare.Resolved (r, o) -> (r, o)
-      | Pk_compare.Need_units ->
-          Layout.resolve_pk_units c.reg a0 ~scheme_granularity:(granularity c) ~search ~rel ~off
+    let r = Pk_compare.resolve_offset_packed st ~pk_off:(Layout.read_pk_off c.reg a0) in
+    let r =
+      if r <> Pk_compare.need_units then r
+      else Layout.resolve_pk_units_packed c.reg a0 c.gran ~buf:c.pkbuf ~search st
     in
-    match r with
-    | Key.Eq ->
-        Obs.Trace.emit c.cnt.Counters.trace Obs.Trace.k_pk_eq node 0;
-        deref_entry c node search 0
-    | Key.Lt ->
-        Obs.Trace.emit c.cnt.Counters.trace Obs.Trace.k_pk_lt node o;
-        (r, o)
-    | Key.Gt ->
-        Obs.Trace.emit c.cnt.Counters.trace Obs.Trace.k_pk_gt node o;
-        (r, o)
+    let code = Key.Packed.code r in
+    if code = Key.Packed.eq then begin
+      Obs.Trace.emit c.cnt.Counters.trace Obs.Trace.k_pk_eq node 0;
+      deref_packed c node search 0
+    end
+    else begin
+      Obs.Trace.emit c.cnt.Counters.trace
+        (if code = Key.Packed.lt then Obs.Trace.k_pk_lt else Obs.Trace.k_pk_gt)
+        node (Key.Packed.off r);
+      r
+    end
 end
 
 (* {2 Group descent over child-partitioned trees}

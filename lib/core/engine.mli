@@ -22,7 +22,6 @@ val null : int
 
 val pow2_at_least : int -> int
 val ensure_int : int array -> int -> int array
-val ensure_cmp : Key.cmp array -> int -> Key.cmp array
 val fill_perm : int array -> int -> unit
 
 val sort_perm : Key.t array -> int array -> int -> unit
@@ -80,8 +79,7 @@ end
 module Scratch : sig
   type t = {
     mutable perm : int array;
-    mutable rel : Key.cmp array;
-    mutable off : int array;
+    mutable st : int array;  (** Per-probe packed FINDNODE state ({!Key.Packed}). *)
     mutable la : int array;
     mutable sign : int array;
     mutable keys : Key.t array;
@@ -114,6 +112,8 @@ module Entries : sig
     esz : int;
     entries_at : int;
     cnt : Counters.t;
+    gran : Partial_key.granularity;  (** [Byte] placeholder under plain schemes. *)
+    pkbuf : bytes;  (** Stored-unit scratch of the packed comparisons. *)
   }
 
   val make :
@@ -128,7 +128,6 @@ module Entries : sig
   val entry_addr : ctx -> int -> int -> int
   val rec_ptr : ctx -> int -> int -> int
   val entry_key : ctx -> int -> int -> Key.t
-  val granularity : ctx -> Partial_key.granularity
   val l_bytes : ctx -> int
   val is_partial : ctx -> bool
 
@@ -143,35 +142,29 @@ module Entries : sig
   val blit_entries : ctx -> src:int -> src_i:int -> dst:int -> dst_i:int -> n:int -> unit
   val write_entry : ctx -> int -> int -> key:Key.t -> rid:int -> unit
 
+  val key_sign : ctx -> int -> int -> Key.t -> int
+  (** Sign of [c(key, entry i)], compared in place with the memory
+      traffic of {!entry_key} (same fault points, whole key charged). *)
+
   val locate : ctx -> int -> n:int -> Key.t -> int * bool
   (** Full-key binary search among [n] entries: (position, found). *)
 
-  val byte_or_zero : Key.t -> int -> int
-  val bit_or_zero : Key.t -> int -> int
-
-  val deref_entry : ctx -> int -> Key.t -> int -> Key.cmp * int
-  (** Full comparison of the search key against entry [i]'s record key;
-      counts one dereference. *)
+  val deref_packed : ctx -> int -> Key.t -> int -> int
+  (** Full comparison of the search key against entry [i]'s record
+      key, packed ({!Key.Packed}); counts one dereference. *)
 
   val probe_sign : ctx -> int -> Key.t -> int -> int
   (** Sign of [c(probe, entry i)], allocation-free.  Plain schemes
       only; counts a dereference under the indirect scheme. *)
 
-  val probe_cmp : ctx -> int -> Key.t -> int -> Key.cmp
-  (** [c(probe, entry i)] as a {!type:Key.cmp}.  Plain schemes only. *)
+  val cursor : ctx -> shift:int -> naive:bool -> Node_search.cursor
+  (** The tree's FINDNODE cursor: accessors reading entries [i + shift]
+      of [cursor.node] against [cursor.search], built once per tree and
+      re-aimed per (node, search key).  Partial schemes only. *)
 
-  (** Mutable aiming point for a cached FINDNODE ops record. *)
-  type aim = { mutable node : int; mutable search : Key.t }
-
-  val make_aim : unit -> aim
-
-  val make_ops : ctx -> aim -> shift:int -> Node_search.entry_ops
-  (** Build one {!type:Node_search.entry_ops} reading entries
-      [i + shift] of [aim.node] against [aim.search]; re-aim instead of
-      rebuilding.  [num_keys] starts at 0 and is patched per node. *)
-
-  val head_pk_cmp : ctx -> int -> Key.t -> rel:Key.cmp -> off:int -> Key.cmp * int
-  (** Partial-key comparison of the search key against entry 0 —
+  val head_pk_cmp : ctx -> int -> Key.t -> int -> int
+  (** [head_pk_cmp c node search st]: packed partial-key comparison of
+      the search key against entry 0 from packed state [st] —
       FINDTTREE's per-level step (offset-only resolution, then units,
       then one dereference on partial-key equality). *)
 end

@@ -32,6 +32,8 @@ let read_direct_key reg a ~key_len = Mem.read_bytes reg ~off:(a + 8) ~len:key_le
 let[@pklint.guarded] write_direct_key reg a key =
   Mem.write_bytes reg ~off:(a + 8) ~src:key ~src_off:0 ~len:(Bytes.length key)
 
+let[@pklint.hot] compare_read_direct reg a ~key_len probe = Mem.compare_read reg ~off:(a + 8) ~len:key_len probe
+
 let compare_direct reg a ~key_len probe =
   let c, d =
     Mem.compare_detail reg ~off:(a + 8) ~len:key_len probe ~key_off:0
@@ -75,13 +77,18 @@ let[@pklint.guarded] write_pk reg a ~l_bytes (pk : Partial_key.t) =
   let live = Bytes.length pk.pk_bits in
   if live > 0 then Mem.write_bytes reg ~off:(a + pk_bits_at) ~src:pk.pk_bits ~src_off:0 ~len:live
 
-let resolve_pk_units reg a ~scheme_granularity ~search ~rel ~off =
+let[@pklint.hot] resolve_pk_units_packed reg a g ~buf ~search st =
   let pk_len = read_pk_len reg a in
-  let width = stored_width scheme_granularity pk_len in
-  let pk_bits =
-    if width = 0 then Bytes.empty else Mem.read_bytes reg ~off:(a + pk_bits_at) ~len:width
-  in
-  Pk_compare.resolve_by_units scheme_granularity ~search ~rel ~off ~pk_len ~pk_bits
+  let width = stored_width g pk_len in
+  if width > 0 then Mem.read_into reg ~off:(a + pk_bits_at) ~dst:buf ~dst_off:0 ~len:width;
+  Pk_compare.resolve_units_packed g ~search st ~pk_len ~pk_bits:buf
+
+let units_buf () = Bytes.create 256
+
+let resolve_pk_units reg a ~scheme_granularity ~search ~rel ~off =
+  Key.Packed.unpack
+    (resolve_pk_units_packed reg a scheme_granularity ~buf:(units_buf ()) ~search
+       (Key.Packed.of_cmp rel off))
 
 (* {1 Node-placement policies} — where bulk-built tree nodes land in
    the arena, FAST-style: cache-line blocks nested in page blocks

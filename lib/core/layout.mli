@@ -32,6 +32,10 @@ val set_rec_ptr : Pk_mem.Mem.region -> int -> int -> unit
 val read_direct_key : Pk_mem.Mem.region -> int -> key_len:int -> Pk_keys.Key.t
 val write_direct_key : Pk_mem.Mem.region -> int -> Pk_keys.Key.t -> unit
 
+val compare_read_direct : Pk_mem.Mem.region -> int -> key_len:int -> Pk_keys.Key.t -> int
+(** Sign of stored key vs probe, compared in place with the memory
+    traffic of {!val:read_direct_key} (see {!Pk_mem.Mem.compare_read}). *)
+
 val compare_direct :
   Pk_mem.Mem.region -> int -> key_len:int -> Pk_keys.Key.t -> Pk_keys.Key.cmp * int
 (** [(c, d)] comparing the {e stored} key to the probe, byte detail;
@@ -53,6 +57,24 @@ val read_pk_first_byte : Pk_mem.Mem.region -> int -> int
 
 val write_pk : Pk_mem.Mem.region -> int -> l_bytes:int -> Pk_partialkey.Partial_key.t -> unit
 
+val units_buf : unit -> bytes
+(** A scratch buffer large enough for any entry's stored units
+    ([pk_len] is a u8). *)
+
+val resolve_pk_units_packed :
+  Pk_mem.Mem.region ->
+  int ->
+  Pk_partialkey.Partial_key.granularity ->
+  buf:bytes ->
+  search:Pk_keys.Key.t ->
+  int ->
+  int
+(** {!val:Pk_partialkey.Pk_compare.resolve_units_packed} over the entry
+    at [a]: reads [pk_len], then copies the stored units into [buf]
+    (from {!units_buf}) with one {!Pk_mem.Mem.read_into} — the same
+    fault point and charged range as reading them out — and resolves
+    the packed state against them without allocating. *)
+
 val resolve_pk_units :
   Pk_mem.Mem.region ->
   int ->
@@ -61,8 +83,7 @@ val resolve_pk_units :
   rel:Pk_keys.Key.cmp ->
   off:int ->
   Pk_keys.Key.cmp * int
-(** {!val:Pk_partialkey.Pk_compare.resolve_by_units} reading the stored
-    bits straight from the entry (charging them). *)
+(** Tuple wrapper over {!val:resolve_pk_units_packed}. *)
 
 (** {1 Node-placement policies}
 

@@ -25,13 +25,14 @@ type t = {
   cfg : config;
   ec : Entries.ctx;
   sc : Scratch.t;
-  aim : Entries.aim; (* (node, probe) the reusable entry_ops reads *)
+  cu : Node_search.cursor;
+      (* FINDNODE cursor over entries [1..n) of the last Gt ancestor (its
+         leftmost key is the base), re-aimed per (node, probe) *)
   max_entries : int;
   min_internal : int;
   mutable root : int;
   mutable n_nodes : int;
   mutable n_keys : int;
-  mutable bops : Node_search.entry_ops option;
   mutable td : Tgroup.driver option;
 }
 
@@ -52,20 +53,21 @@ let create mem records cfg =
     Mem.new_region mem ~initial_capacity:(1 lsl 20) ~name:("ttree-" ^ Layout.scheme_tag cfg.scheme)
       ()
   in
+  let ec =
+    Entries.make ~name:"Ttree" ~reg ~records ~scheme:cfg.scheme ~entries_at (Counters.create ())
+  in
   {
     reg;
     records;
     cfg;
-    ec =
-      Entries.make ~name:"Ttree" ~reg ~records ~scheme:cfg.scheme ~entries_at (Counters.create ());
+    ec;
     sc = Scratch.create ();
-    aim = Entries.make_aim ();
+    cu = Entries.cursor ec ~shift:1 ~naive:cfg.naive_search;
     max_entries;
     min_internal = max 1 (max_entries - 2);
     root = null;
     n_nodes = 0;
     n_keys = 0;
-    bops = None;
     td = None;
   }
 
@@ -383,45 +385,43 @@ let rec insert_rec t node key rid ~base =
   if node = null then new_leaf t ~key ~rid ~base
   else begin
     let n = num_keys t node in
-    let c0, _ = Key.compare_detail key (entry_key t node 0) in
-    let cl, _ = if n = 0 then (Key.Lt, 0) else Key.compare_detail key (entry_key t node (n - 1)) in
-    (match c0 with
-    | Key.Eq -> raise Duplicate
-    | Key.Lt ->
-        if left t node <> null then
-          set_left t node (insert_rec t (left t node) key rid ~base:(Some (entry_key t node 0)))
-        else if n < t.max_entries then begin
-          insert_at t node 0 ~key ~rid;
-          fix_pk0_and_children t node ~base
-        end
-        else set_left t node (new_leaf t ~key ~rid ~base:(Some (entry_key t node 0)))
-    | Key.Gt -> (
-        match cl with
-        | Key.Eq -> raise Duplicate
-        | Key.Gt ->
-            if right t node <> null then
-              set_right t node
-                (insert_rec t (right t node) key rid ~base:(Some (entry_key t node 0)))
-            else if n < t.max_entries then insert_at t node n ~key ~rid
-            else set_right t node (new_leaf t ~key ~rid ~base:(Some (entry_key t node 0)))
-        | Key.Lt ->
-            (* Bounding node. *)
-            let pos, found = locate t node key in
-            if found then raise Duplicate;
-            if n < t.max_entries then insert_at t node pos ~key ~rid
-            else begin
-              (* Full: evict the minimum to the left subtree (its
-                 greatest lower bound node), then insert. *)
-              let ev_key = entry_key t node 0 and ev_rid = rec_ptr t node 0 in
-              remove_at t node 0;
-              insert_at t node (pos - 1) ~key ~rid;
-              fix_pk0_and_children t node ~base;
-              let l =
-                insert_max t (left t node) ~key:ev_key ~rid:ev_rid
-                  ~base:(Some (entry_key t node 0))
-              in
-              set_left t node l
-            end));
+    let c0 = Entries.key_sign t.ec node 0 key in
+    let cl = if n = 0 then -1 else Entries.key_sign t.ec node (n - 1) key in
+    (if c0 = 0 then raise Duplicate
+     else if c0 < 0 then begin
+       if left t node <> null then
+         set_left t node (insert_rec t (left t node) key rid ~base:(Some (entry_key t node 0)))
+       else if n < t.max_entries then begin
+         insert_at t node 0 ~key ~rid;
+         fix_pk0_and_children t node ~base
+       end
+       else set_left t node (new_leaf t ~key ~rid ~base:(Some (entry_key t node 0)))
+     end
+     else if cl = 0 then raise Duplicate
+     else if cl > 0 then begin
+       if right t node <> null then
+         set_right t node (insert_rec t (right t node) key rid ~base:(Some (entry_key t node 0)))
+       else if n < t.max_entries then insert_at t node n ~key ~rid
+       else set_right t node (new_leaf t ~key ~rid ~base:(Some (entry_key t node 0)))
+     end
+     else begin
+       (* Bounding node. *)
+       let pos, found = locate t node key in
+       if found then raise Duplicate;
+       if n < t.max_entries then insert_at t node pos ~key ~rid
+       else begin
+         (* Full: evict the minimum to the left subtree (its greatest
+            lower bound node), then insert. *)
+         let ev_key = entry_key t node 0 and ev_rid = rec_ptr t node 0 in
+         remove_at t node 0;
+         insert_at t node (pos - 1) ~key ~rid;
+         fix_pk0_and_children t node ~base;
+         let l =
+           insert_max t (left t node) ~key:ev_key ~rid:ev_rid ~base:(Some (entry_key t node 0))
+         in
+         set_left t node l
+       end
+     end);
     rebalance t node ~base
   end
 
@@ -453,17 +453,18 @@ let rec delete_rec t node key ~base =
   if node = null then raise Not_present
   else begin
     let n = num_keys t node in
-    let c0, _ = Key.compare_detail key (entry_key t node 0) in
-    let cl, _ = if n = 0 then (Key.Gt, 0) else Key.compare_detail key (entry_key t node (n - 1)) in
+    let c0 = Entries.key_sign t.ec node 0 key in
+    let cl = if n = 0 then 1 else Entries.key_sign t.ec node (n - 1) key in
     let node =
-      match (c0, cl) with
-      | Key.Lt, _ ->
+      if c0 < 0 then begin
         set_left t node (delete_rec t (left t node) key ~base:(Some (entry_key t node 0)));
         node
-      | _, Key.Gt ->
+      end
+      else if cl > 0 then begin
         set_right t node (delete_rec t (right t node) key ~base:(Some (entry_key t node 0)));
         node
-      | _ -> begin
+      end
+      else begin
         let pos, found = locate t node key in
         if not found then raise Not_present;
         remove_at t node pos;
@@ -487,89 +488,32 @@ let delete t key =
           true
       | exception Not_present -> false)
 
-(* {2 Lookup} *)
+(* {2 Lookup}
 
-(* One shifted entry_ops per tree: FINDTTREE's final search runs over
-   entries [1..n) of the last Gt ancestor (its leftmost key is the
-   base), re-aimed via [t.aim]. *)
-let batch_ops t =
-  match t.bops with
-  | Some ops -> ops
-  | None ->
-      let ops = Entries.make_ops t.ec t.aim ~shift:1 in
-      t.bops <- Some ops;
-      ops
+   Both descents are top-level recursions returning the rid or [-1];
+   [lookup] boxes only the final [Some rid].  [la]/[la_off]: the last
+   node left via a greater-than branch and the resolved offset there. *)
 
-let find_fn t = if t.cfg.naive_search then Node_search.naive_find_node else Node_search.find_node
+(* FINDTTREE's final step: FINDNODE over entries [1..n) of the last Gt
+   ancestor [la], whose leftmost key is their base. *)
+let[@pklint.hot] final_partial t la la_off =
+  let cu = t.cu in
+  cu.Node_search.node <- la;
+  cu.Node_search.num_keys <- num_keys t la - 1;
+  Node_search.find cu (Key.Packed.make Key.Packed.gt la_off);
+  if cu.Node_search.low = cu.Node_search.high then rec_ptr t la (cu.Node_search.low + 1) else -1
 
-(* FINDTTREE (Fig. 7).  [la]/[la_off]: the last node left via a
-   greater-than branch and the resolved offset there. *)
-let lookup_partial t search =
-  let find = find_fn t in
-  let ops = batch_ops t in
-  t.aim.Entries.search <- search;
-  let rel0, off0 = Partial_key.initial_state (Entries.granularity t.ec) search in
-  let rec descend node la la_off rel off =
-    if node = null then
-      if la = null then None
-      else begin
-        t.aim.Entries.node <- la;
-        ops.Node_search.num_keys <- num_keys t la - 1;
-        let r = find ops ~rel0:Key.Gt ~off0:la_off in
-        if r.Node_search.low = r.Node_search.high then Some (rec_ptr t la (r.Node_search.low + 1))
-        else None
-      end
-    else begin
-      visit t node;
-      let c, o = Entries.head_pk_cmp t.ec node search ~rel ~off in
-      match c with
-      | Key.Eq -> Some (rec_ptr t node 0)
-      | Key.Lt -> descend (left t node) la la_off c o
-      | Key.Gt -> descend (right t node) node o c o
-    end
-  in
-  descend t.root null 0 rel0 off0
-
-(* Direct / indirect: single comparison per level against entry 0. *)
-let lookup_plain t search =
-  let rec in_node node lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      match Entries.probe_cmp t.ec node search mid with
-      | Key.Eq -> Some (rec_ptr t node mid)
-      | Key.Lt -> in_node node lo mid
-      | Key.Gt -> in_node node (mid + 1) hi
-  in
-  let rec descend node la =
-    if node = null then if la = null then None else in_node la 1 (num_keys t la)
-    else begin
-      visit t node;
-      match Entries.probe_cmp t.ec node search 0 with
-      | Key.Eq -> Some (rec_ptr t node 0)
-      | Key.Lt -> descend (left t node) la
-      | Key.Gt -> descend (right t node) node
-    end
-  in
-  descend t.root null
-
-let lookup t search =
-  if t.root = null then None
-  else
-    match t.cfg.scheme with
-    | Layout.Partial _ -> lookup_partial t search
-    | Layout.Direct _ | Layout.Indirect -> lookup_plain t search
-
-(* {2 Batched lookup hooks (group descent)}
-
-   The engine ({!module:Engine.Tgroup}) splits the sorted batch at
-   every node into below / equal / above segments against the leftmost
-   entry; probes of one segment share their whole path, hence also the
-   last-Gt-ancestor node — only the offset at that ancestor is
-   per-probe state.  As in {!module:Btree}, the direct/indirect path is
-   allocation-free (sign comparisons into the scratch arrays); the
-   partial path reuses one mutable shifted [entry_ops] for the final
-   in-ancestor search and allocates only comparison pairs. *)
+(* FINDTTREE (Fig. 7). *)
+let[@pklint.hot] rec descend_partial t node la la_off st =
+  if node = null then if la = null then -1 else final_partial t la la_off
+  else begin
+    visit t node;
+    let r = Entries.head_pk_cmp t.ec node t.cu.Node_search.search st in
+    let code = Key.Packed.code r in
+    if code = Key.Packed.eq then rec_ptr t node 0
+    else if code = Key.Packed.lt then descend_partial t (left t node) la la_off r
+    else descend_partial t (right t node) node (Key.Packed.off r) r
+  end
 
 (* Binary search among entries [lo, hi) of [node]; rid or -1. *)
 let[@pklint.hot] rec tresolve t node probe lo hi =
@@ -581,60 +525,91 @@ let[@pklint.hot] rec tresolve t node probe lo hi =
     else if c < 0 then tresolve t node probe lo mid
     else tresolve t node probe (mid + 1) hi
 
+(* Direct / indirect: single comparison per level against entry 0. *)
+let[@pklint.hot] rec descend_plain t node la probe =
+  if node = null then if la = null then -1 else tresolve t la probe 1 (num_keys t la)
+  else begin
+    visit t node;
+    let c = Entries.probe_sign t.ec node probe 0 in
+    if c = 0 then rec_ptr t node 0
+    else if c < 0 then descend_plain t (left t node) la probe
+    else descend_plain t (right t node) node probe
+  end
+
+let[@pklint.hot] lookup_rid t search =
+  if t.root = null then -1
+  else
+    match t.cfg.scheme with
+    | Layout.Partial _ ->
+        t.cu.Node_search.search <- search;
+        descend_partial t t.root null 0 (Partial_key.initial_packed t.ec.Entries.gran search)
+    | Layout.Direct _ | Layout.Indirect -> descend_plain t t.root null search
+
+let lookup t search =
+  let r = lookup_rid t search in
+  if r < 0 then None else Some r
+
+(* {2 Batched lookup hooks (group descent)}
+
+   The engine ({!module:Engine.Tgroup}) splits the sorted batch at
+   every node into below / equal / above segments against the leftmost
+   entry; probes of one segment share their whole path, hence also the
+   last-Gt-ancestor node — only the offset at that ancestor is
+   per-probe state.  As in {!module:Btree}, every scheme is
+   allocation-free: sign comparisons for direct/indirect, packed
+   per-probe states and the tree's cursor for partial keys. *)
+
+let[@pklint.hot] plain_classify t node slot =
+  let sc = t.sc in
+  let c = Entries.probe_sign t.ec node sc.Scratch.keys.(slot) 0 in
+  sc.Scratch.sign.(slot) <- c;
+  if c = 0 then sc.Scratch.out.(slot) <- rec_ptr t node 0
+
+let[@pklint.hot] plain_final t la slot =
+  let sc = t.sc in
+  sc.Scratch.out.(slot) <-
+    (if la = null then -1 else tresolve t la sc.Scratch.keys.(slot) 1 (num_keys t la))
+
+let[@pklint.hot] partial_classify t node slot =
+  let sc = t.sc in
+  let r = Entries.head_pk_cmp t.ec node sc.Scratch.keys.(slot) sc.Scratch.st.(slot) in
+  let code = Key.Packed.code r in
+  if code = Key.Packed.eq then begin
+    sc.Scratch.out.(slot) <- rec_ptr t node 0;
+    sc.Scratch.sign.(slot) <- 0
+  end
+  else begin
+    sc.Scratch.st.(slot) <- r;
+    if code = Key.Packed.lt then sc.Scratch.sign.(slot) <- -1
+    else begin
+      sc.Scratch.la.(slot) <- Key.Packed.off r;
+      sc.Scratch.sign.(slot) <- 1
+    end
+  end
+
+let[@pklint.hot] partial_final t la slot =
+  let sc = t.sc in
+  if la = null then sc.Scratch.out.(slot) <- -1
+  else begin
+    t.cu.Node_search.search <- sc.Scratch.keys.(slot);
+    sc.Scratch.out.(slot) <- final_partial t la sc.Scratch.la.(slot)
+  end
+
 let tdriver t =
   match t.td with
   | Some d -> d
   | None ->
-      let sc = t.sc in
       let common classify final =
-        { Tgroup.sc; left = left t; right = right t; visit = visit t; classify; final }
+        { Tgroup.sc = t.sc; left = left t; right = right t; visit = visit t; classify; final }
       in
       let d =
         match t.cfg.scheme with
         | Layout.Direct _ | Layout.Indirect ->
-            common
-              (fun node slot ->
-                let c = Entries.probe_sign t.ec node sc.Scratch.keys.(slot) 0 in
-                sc.Scratch.sign.(slot) <- c;
-                if c = 0 then sc.Scratch.out.(slot) <- rec_ptr t node 0)
-              (fun la slot ->
-                sc.Scratch.out.(slot) <-
-                  (if la = null then -1 else tresolve t la sc.Scratch.keys.(slot) 1 (num_keys t la)))
+            common (fun node slot -> plain_classify t node slot) (fun la slot -> plain_final t la slot)
         | Layout.Partial _ ->
-            let find = find_fn t in
-            let ops = batch_ops t in
             common
-              (fun node slot ->
-                let search = sc.Scratch.keys.(slot) in
-                let c, o =
-                  Entries.head_pk_cmp t.ec node search ~rel:sc.Scratch.rel.(slot)
-                    ~off:sc.Scratch.off.(slot)
-                in
-                match c with
-                | Key.Eq ->
-                    sc.Scratch.out.(slot) <- rec_ptr t node 0;
-                    sc.Scratch.sign.(slot) <- 0
-                | Key.Lt ->
-                    sc.Scratch.rel.(slot) <- Key.Lt;
-                    sc.Scratch.off.(slot) <- o;
-                    sc.Scratch.sign.(slot) <- -1
-                | Key.Gt ->
-                    sc.Scratch.rel.(slot) <- Key.Gt;
-                    sc.Scratch.off.(slot) <- o;
-                    sc.Scratch.la.(slot) <- o;
-                    sc.Scratch.sign.(slot) <- 1)
-              (fun la slot ->
-                if la = null then sc.Scratch.out.(slot) <- -1
-                else begin
-                  t.aim.Entries.node <- la;
-                  t.aim.Entries.search <- sc.Scratch.keys.(slot);
-                  ops.Node_search.num_keys <- num_keys t la - 1;
-                  let r = find ops ~rel0:Key.Gt ~off0:sc.Scratch.la.(slot) in
-                  sc.Scratch.out.(slot) <-
-                    (if r.Node_search.low = r.Node_search.high then
-                       rec_ptr t la (r.Node_search.low + 1)
-                     else -1)
-                end)
+              (fun node slot -> partial_classify t node slot)
+              (fun la slot -> partial_final t la slot)
       in
       t.td <- Some d;
       d
@@ -742,12 +717,11 @@ let rec seek_from t from node stack =
   if node = null then stack
   else
     let n = num_keys t node in
-    let c0, _ = Key.compare_detail from (entry_key t node 0) in
-    let cl, _ = Key.compare_detail from (entry_key t node (n - 1)) in
-    match (c0, cl) with
-    | Key.Lt, _ -> seek_from t from (left t node) ((node, 0) :: stack)
-    | _, Key.Gt -> seek_from t from (right t node) stack
-    | _ ->
+    let c0 = Entries.key_sign t.ec node 0 from in
+    let cl = Entries.key_sign t.ec node (n - 1) from in
+    if c0 < 0 then seek_from t from (left t node) ((node, 0) :: stack)
+    else if cl > 0 then seek_from t from (right t node) stack
+    else
       let pos, _ = locate t node from in
       (node, pos) :: stack
 
@@ -835,14 +809,10 @@ module Structure = struct
     sc.Scratch.perm <- Engine.ensure_int sc.Scratch.perm n;
     sc.Scratch.sign <- Engine.ensure_int sc.Scratch.sign n;
     if is_partial t then begin
-      sc.Scratch.rel <- Engine.ensure_cmp sc.Scratch.rel n;
-      sc.Scratch.off <- Engine.ensure_int sc.Scratch.off n;
+      sc.Scratch.st <- Engine.ensure_int sc.Scratch.st n;
       sc.Scratch.la <- Engine.ensure_int sc.Scratch.la n;
-      let g = Entries.granularity t.ec in
       for i = 0 to n - 1 do
-        let rel, off = Partial_key.initial_state g keys.(i) in
-        sc.Scratch.rel.(i) <- rel;
-        sc.Scratch.off.(i) <- off
+        sc.Scratch.st.(i) <- Partial_key.initial_packed t.ec.Entries.gran keys.(i)
       done
     end
 
@@ -875,16 +845,17 @@ module Structure = struct
   (* Header clone over the snapshot-view regions: pinned scalar state,
      fresh caches/scratch so nothing reaches back into the live tree. *)
   let snapshot_view t ~reg ~records =
+    let ec =
+      Entries.make ~name:"Ttree" ~reg ~records ~scheme:t.cfg.scheme ~entries_at
+        (Counters.create ())
+    in
     {
       t with
       reg;
       records;
-      ec =
-        Entries.make ~name:"Ttree" ~reg ~records ~scheme:t.cfg.scheme ~entries_at
-          (Counters.create ());
+      ec;
       sc = Scratch.create ();
-      aim = Entries.make_aim ();
-      bops = None;
+      cu = Entries.cursor ec ~shift:1 ~naive:t.cfg.naive_search;
       td = None;
     }
 

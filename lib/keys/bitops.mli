@@ -15,6 +15,15 @@ val first_diff_bit : bytes -> bytes -> int option
     shorter is treated as zero-padded — callers in this repository only
     compare equal-length keys. *)
 
+val byte_or_zero : bytes -> int -> int
+(** Byte [i] of the string, 0 past its end. *)
+
+val bit_or_zero : bytes -> int -> int
+(** Bit [i] of the string, 0 past its end. *)
+
+val leading_zeros8 : int -> int
+(** Leading zero bits of a byte value in [1, 255]. *)
+
 val extract_bits : bytes -> bit_off:int -> bit_len:int -> bytes
 (** [extract_bits k ~bit_off ~bit_len] copies bits
     [\[bit_off, bit_off+bit_len)] of [k] into a fresh packed bit string
@@ -29,3 +38,7 @@ val compare_bits_at :
     [cmp] < 0, = 0, > 0, with [i] the index {e relative to [bit_off]} of
     the first differing bit ([= bit_len] when all [bit_len] bits agree,
     in which case [cmp = 0]).  Bits of [k] beyond its end read as 0. *)
+
+val compare_bits_packed : bytes -> bit_off:int -> packed:bytes -> bit_len:int -> int
+(** {!val:compare_bits_at} as one allocation-free int:
+    [(i lsl 2) lor (cmp + 1)] (the {!Key.Packed} encoding). *)

@@ -5,6 +5,19 @@ let cmp_of_int n = if n < 0 then Lt else if n > 0 then Gt else Eq
 let int_of_cmp = function Lt -> -1 | Eq -> 0 | Gt -> 1
 let flip = function Lt -> Gt | Gt -> Lt | Eq -> Eq
 
+module Packed = struct
+  let lt = 0
+  let eq = 1
+  let gt = 2
+  let[@inline] make code off = (off lsl 2) lor code
+  let[@inline] code p = p land 3
+  let[@inline] off p = p lsr 2
+  let[@inline] of_cmp c off = make (match c with Lt -> lt | Eq -> eq | Gt -> gt) off
+  let[@inline] to_cmp p = match p land 3 with 0 -> Lt | 1 -> Eq | _ -> Gt
+  let[@inline] flip p = p + 2 - (2 * (p land 3))
+  let unpack p = (to_cmp p, off p)
+end
+
 let pp_cmp ppf c =
   Format.pp_print_string ppf (match c with Lt -> "LT" | Eq -> "EQ" | Gt -> "GT")
 

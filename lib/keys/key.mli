@@ -25,6 +25,29 @@ val flip : cmp -> cmp
 
 val pp_cmp : Format.formatter -> cmp -> unit
 
+(** Allocation-free comparison results: one immediate int
+    [(off lsl 2) lor code], with code [0]/[1]/[2] for [Lt]/[Eq]/[Gt]
+    (the sign plus one) and [off] the difference offset.  The
+    partial-key search core passes states and results in this form;
+    the [cmp * int] pairs elsewhere are wrappers over it. *)
+module Packed : sig
+  val lt : int
+  val eq : int
+  val gt : int
+  val make : int -> int -> int
+  (** [make code off]. *)
+
+  val code : int -> int
+  val off : int -> int
+  val of_cmp : cmp -> int -> int
+  val to_cmp : int -> cmp
+
+  val flip : int -> int
+  (** Swap [Lt] and [Gt], keeping the offset. *)
+
+  val unpack : int -> cmp * int
+end
+
 val length : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int

@@ -195,41 +195,48 @@ let move r ~src_off ~dst_off ~len =
   charge r dst_off len;
   Arena.blit_within r.arena ~src_off ~dst_off ~len
 
-let compare_detail r ~off ~len probe ~key_off ~key_len =
-  Fault.point "mem.read";
-  let common = min len key_len in
-  let rec scan i =
-    if i >= common then
-      if len = key_len then (0, common) else if len < key_len then (-1, common) else (1, common)
-    else
-      let a = view_get_u8 r (off + i) in
-      let b = Char.code (Bytes.get probe (key_off + i)) in
-      if a <> b then ((if a < b then -1 else 1), i) else scan (i + 1)
-  in
-  let ((_, diff) as result) = scan 0 in
-  let examined = min (diff + 1) common in
-  if examined > 0 then charge r off examined;
-  result
-
 (* Top-level recursion (not an inner [let rec]) so no closure is
-   allocated: [compare_sign] is the batched descent's hot path and must
-   not touch the OCaml heap. *)
-let[@pklint.hot] rec sign_scan r off (len : int) probe key_off (key_len : int) common i =
+   allocated: the comparison core of every lookup path must not touch
+   the OCaml heap.  Charges exactly the examined prefix, like a real
+   memcmp. *)
+let[@pklint.hot] rec detail_scan r off (len : int) probe key_off (key_len : int) common i =
   if i >= common then begin
     if common > 0 then charge r off common;
-    if len = key_len then 0 else if len < key_len then -1 else 1
+    (common lsl 2) lor (if len = key_len then 1 else if len < key_len then 0 else 2)
   end
   else
     let a = view_get_u8 r (off + i) in
     let b = Char.code (Bytes.get probe (key_off + i)) in
     if a <> b then begin
       charge r off (i + 1);
-      if a < b then -1 else 1
+      (i lsl 2) lor (if a < b then 0 else 2)
     end
-    else sign_scan r off len probe key_off key_len common (i + 1)
+    else detail_scan r off len probe key_off key_len common (i + 1)
+
+let[@pklint.hot] compare_packed r ~off ~len probe ~key_off ~key_len =
+  Fault.point "mem.read";
+  detail_scan r off len probe key_off key_len (min len key_len) 0
+
+let compare_detail r ~off ~len probe ~key_off ~key_len =
+  let p = compare_packed r ~off ~len probe ~key_off ~key_len in
+  ((p land 3) - 1, p lsr 2)
 
 let[@pklint.hot] compare_sign r ~off ~len probe ~key_off ~key_len =
+  (compare_packed r ~off ~len probe ~key_off ~key_len land 3) - 1
+
+(* Sign-only scan that charges nothing itself: [compare_read] charges
+   the whole range up front. *)
+let[@pklint.hot] rec read_scan r off (len : int) probe (key_len : int) common i =
+  if i >= common then if len = key_len then 0 else if len < key_len then -1 else 1
+  else
+    let a = view_get_u8 r (off + i) in
+    let b = Char.code (Bytes.get probe i) in
+    if a <> b then if a < b then -1 else 1 else read_scan r off len probe key_len common (i + 1)
+
+let[@pklint.hot] compare_read r ~off ~len probe =
   Fault.point "mem.read";
-  sign_scan r off len probe key_off key_len (min len key_len) 0
+  charge r off len;
+  let key_len = Bytes.length probe in
+  read_scan r off len probe key_len (min len key_len) 0
 
 let touch r ~off ~len = charge r off len

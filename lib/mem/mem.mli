@@ -132,12 +132,27 @@ val compare_detail :
     Charges exactly the prefix of region bytes examined — matching a
     real memcmp's memory traffic. *)
 
+val compare_packed :
+  region -> off:int -> len:int -> bytes -> key_off:int -> key_len:int -> int
+(** {!val:compare_detail} as one immediate int, never allocating:
+    [(diff lsl 2) lor (cmp + 1)], i.e. code 0/1/2 for
+    negative/zero/positive (the {!Pk_keys.Key.Packed} encoding).  Fires
+    the same ["mem.read"] fault point and charges the same examined
+    prefix; [compare_detail] and [compare_sign] are wrappers over it. *)
+
 val compare_sign :
   region -> off:int -> len:int -> bytes -> key_off:int -> key_len:int -> int
 (** Like {!val:compare_detail} but returns only the comparison sign and
     never allocates (no result tuple) — the building block of the
     allocation-free batched lookup path.  Fires the same ["mem.read"]
     fault point and charges the same examined prefix. *)
+
+val compare_read : region -> off:int -> len:int -> bytes -> int
+(** Sign of comparing the region bytes [\[off, off+len)] with the whole
+    probe, with the memory traffic of {!val:read_bytes} over the same
+    range: one ["mem.read"] fault point and the whole range charged,
+    however early the scan stops.  The update paths use it in place of
+    copying a key out and comparing the copy. *)
 
 val touch : region -> off:int -> len:int -> unit
 (** Explicitly charge a byte range (e.g. one logical field group read

@@ -48,20 +48,23 @@ let encode_initial g ~l_bytes ~key =
     { pk_off = units_of_key g key; pk_len = 0; pk_bits = Bytes.empty }
   else encode g ~l_bytes ~base:(zero_key_like key) ~key
 
-let initial_state g k =
-  (* d(k, 0...0) is the offset of the first nonzero unit — computed by
-     direct scan (this runs once per lookup). *)
+(* d(k, 0...0) is the offset of the first nonzero unit — computed by
+   direct scan (this runs once per lookup). *)
+let[@pklint.hot] rec first_nonzero k len i =
+  if i = len || Bytes.get k i <> '\000' then i else first_nonzero k len (i + 1)
+
+let[@pklint.hot] initial_packed g k =
   let len = Bytes.length k in
-  let rec first_nonzero i = if i = len || Bytes.get k i <> '\000' then i else first_nonzero (i + 1) in
-  let i = first_nonzero 0 in
-  if i = len then (Key.Eq, units_of_key g k)
+  let i = first_nonzero k len 0 in
+  if i = len then Key.Packed.make Key.Packed.eq (units_of_key g k)
   else
     match g with
-    | Byte -> (Key.Gt, i)
+    | Byte -> Key.Packed.make Key.Packed.gt i
     | Bit ->
-        let b = Char.code (Bytes.get k i) in
-        let rec clz n bit = if bit land b <> 0 then n else clz (n + 1) (bit lsr 1) in
-        (Key.Gt, (8 * i) + clz 0 0x80)
+        Key.Packed.make Key.Packed.gt
+          ((8 * i) + Bitops.leading_zeros8 (Char.code (Bytes.get k i)))
+
+let initial_state g k = Key.Packed.unpack (initial_packed g k)
 
 let reconstructed_prefix_units g t =
   match g with Bit -> t.pk_off + 1 + t.pk_len | Byte -> t.pk_off + t.pk_len

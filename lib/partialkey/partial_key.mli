@@ -60,6 +60,10 @@ val initial_state : granularity -> Pk_keys.Key.t -> Pk_keys.Key.cmp * int
     search key's difference from the virtual all-zero key (its first
     nonzero unit), or [(Eq, units)] for an all-zero search key. *)
 
+val initial_packed : granularity -> Pk_keys.Key.t -> int
+(** {!val:initial_state} as one allocation-free
+    {!Pk_keys.Key.Packed} int — the lookup paths' form. *)
+
 val reconstructed_prefix_units : granularity -> t -> int
 (** Units of the key derivable from this partial key given its base:
     [pk_off + pk_len] for byte granularity, [pk_off + 1 + pk_len] for

@@ -27,6 +27,36 @@
     [Lt]/[Gt] only on a definite stored-unit mismatch and degrades to
     [Eq] (forcing a dereference) in every boundary case. *)
 
+(** {1 Packed core}
+
+    States and results travel as one immediate {!Pk_keys.Key.Packed}
+    int, [(off lsl 2) lor code]; these functions never allocate and
+    are what the index structures' lookups run on. *)
+
+val need_units : int
+(** [-1]: the offset-only step could not decide (the difference
+    offsets coincide; steps 7-14 of Fig. 3 must consult stored units). *)
+
+val resolve_offset_packed : int -> pk_off:int -> int
+(** Offset-only resolution of a packed state against an index key's
+    difference offset: Theorem 3.1 (steps 1-6 of Fig. 3) for
+    [rel = Lt/Gt], Appendix A cases 1-2 for [rel = Eq].  Returns the
+    packed result or {!need_units}. *)
+
+val resolve_units_packed :
+  Partial_key.granularity -> search:Pk_keys.Key.t -> int -> pk_len:int -> pk_bits:bytes -> int
+(** Value resolution for the [pk_off = off] case, packed.  [pk_bits]
+    holds the index key's stored units in its first bytes (packed bits,
+    or raw bytes whose first byte is the difference byte); it may be a
+    longer reused scratch buffer, since only [pk_len] units are read.
+    For bit granularity the implied difference bit is reconstructed
+    from the state per Fig. 3 steps 8-11 / Appendix A case 3. *)
+
+(** {1 Tuple wrappers}
+
+    The same procedures over [(rel, off)] pairs, for tests, the
+    benchmark ladder and other callers off the lookup path. *)
+
 type resolution =
   | Resolved of Pk_keys.Key.cmp * int
   | Need_units
@@ -35,9 +65,7 @@ type resolution =
 
 val resolve_by_offset :
   rel:Pk_keys.Key.cmp -> off:int -> pk_off:int -> resolution
-(** Offset-only resolution: Theorem 3.1 (steps 1-6 of Fig. 3) for
-    [rel = Lt/Gt], Appendix A cases 1-2 for [rel = Eq].  Never touches
-    key value bits — this is the no-allocation fast path. *)
+(** {!val:resolve_offset_packed} over a pair. *)
 
 val resolve_by_units :
   Partial_key.granularity ->
@@ -47,11 +75,7 @@ val resolve_by_units :
   pk_len:int ->
   pk_bits:bytes ->
   Pk_keys.Key.cmp * int
-(** Value resolution for the [pk_off = off] case.  [pk_bits] are the
-    stored units of the index key (packed bits, or raw bytes whose
-    first byte is the difference byte).  For bit granularity the
-    implied difference bit is reconstructed from [rel] per Fig. 3
-    steps 8-11 / Appendix A case 3. *)
+(** {!val:resolve_units_packed} over a pair. *)
 
 val compare_partkey :
   Partial_key.granularity ->

@@ -58,30 +58,30 @@ let read_payload t addr =
 let count t = t.live
 let live_bytes t = Mem.live_bytes t.reg
 
-let compare_key t addr probe =
+let[@pklint.hot] compare_packed t addr probe =
   let len = key_len t addr in
-  let c, d =
-    Mem.compare_detail t.reg ~off:(addr + header_bytes) ~len probe ~key_off:0
-      ~key_len:(Bytes.length probe)
-  in
-  (Key.cmp_of_int c, d)
-
-let[@pklint.hot] compare_sign t addr probe =
-  let len = key_len t addr in
-  Mem.compare_sign t.reg ~off:(addr + header_bytes) ~len probe ~key_off:0
+  Mem.compare_packed t.reg ~off:(addr + header_bytes) ~len probe ~key_off:0
     ~key_len:(Bytes.length probe)
 
-let compare_key_bits t addr probe =
-  let c, d = compare_key t addr probe in
-  match c with
-  | Key.Eq -> (c, 8 * d)
-  | Key.Lt | Key.Gt ->
-      if d >= key_len t addr || d >= Bytes.length probe then
-        (* Difference is a length difference: first differing "bit" is
-           the first bit past the common prefix. *)
-        (c, 8 * d)
-      else
-        let stored = Mem.read_u8 t.reg (addr + header_bytes + d) in
-        let x = stored lxor Char.code (Bytes.get probe d) in
-        let rec clz n bit = if bit land x <> 0 then n else clz (n + 1) (bit lsr 1) in
-        (c, (8 * d) + clz 0 0x80)
+let compare_key t addr probe = Key.Packed.unpack (compare_packed t addr probe)
+
+let[@pklint.hot] compare_sign t addr probe = Key.Packed.code (compare_packed t addr probe) - 1
+
+let[@pklint.hot] compare_read t addr probe =
+  let len = key_len t addr in
+  Mem.compare_read t.reg ~off:(addr + header_bytes) ~len probe
+
+let[@pklint.hot] compare_bits_packed t addr probe =
+  let p = compare_packed t addr probe in
+  let code = Key.Packed.code p and d = Key.Packed.off p in
+  if code = Key.Packed.eq then Key.Packed.make code (8 * d)
+  else if d >= key_len t addr || d >= Bytes.length probe then
+    (* Difference is a length difference: first differing "bit" is
+       the first bit past the common prefix. *)
+    Key.Packed.make code (8 * d)
+  else
+    let stored = Mem.read_u8 t.reg (addr + header_bytes + d) in
+    let x = stored lxor Char.code (Bytes.get probe d) in
+    Key.Packed.make code ((8 * d) + Pk_keys.Bitops.leading_zeros8 x)
+
+let compare_key_bits t addr probe = Key.Packed.unpack (compare_bits_packed t addr probe)

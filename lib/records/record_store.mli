@@ -49,16 +49,28 @@ val count : t -> int
 
 val live_bytes : t -> int
 
+val compare_packed : t -> int -> Pk_keys.Key.t -> int
+(** [compare_packed t addr probe] compares the {e stored} key against
+    [probe] byte-wise, as one allocation-free {!Pk_keys.Key.Packed}
+    int: the ordering of stored key vs probe and the first differing
+    byte index.  Only the examined prefix is charged to the cache
+    simulator, like a real memcmp. *)
+
 val compare_key : t -> int -> Pk_keys.Key.t -> Pk_keys.Key.cmp * int
-(** [compare_key t addr probe] compares the {e stored} key against
-    [probe] byte-wise: [(c, d)] where [c] is the ordering of stored key
-    vs probe and [d] the first differing byte index.  Only the examined
-    prefix is charged to the cache simulator, like a real memcmp. *)
+(** {!val:compare_packed} unpacked into [(c, d)]. *)
 
 val compare_sign : t -> int -> Pk_keys.Key.t -> int
-(** Sign-only variant of {!val:compare_key} that never allocates —
-    used by the batched lookup hot path for indirect schemes. *)
+(** Sign-only variant of {!val:compare_packed} — used by the batched
+    lookup hot path for indirect schemes. *)
+
+val compare_read : t -> int -> Pk_keys.Key.t -> int
+(** Sign of stored key vs probe with the memory traffic of
+    {!val:read_key}: the whole key is charged (see
+    {!Pk_mem.Mem.compare_read}).  The update paths' in-place compare. *)
+
+val compare_bits_packed : t -> int -> Pk_keys.Key.t -> int
+(** {!val:compare_packed} with the offset the first differing {e bit}
+    (for bit-granularity partial keys). *)
 
 val compare_key_bits : t -> int -> Pk_keys.Key.t -> Pk_keys.Key.cmp * int
-(** Same with [d] the first differing {e bit} offset (for
-    bit-granularity partial keys). *)
+(** {!val:compare_bits_packed} unpacked. *)

@@ -230,46 +230,134 @@ let test_fill_clamped () =
 
 (* {2 Zero-allocation contract}
 
-   Steady-state [lookup_into] must not allocate per probe for the
-   direct and indirect schemes (the partial path allocates FINDNODE
-   results; the prefix tree materialises suffixes). *)
+   Steady-state [lookup_into] must not allocate per probe (at most 0.1
+   minor words) under every B-tree and T-tree scheme: direct, indirect
+   and the paper's partial keys at both granularities, flat and
+   blocked.  A single [lookup] allocates only its [Some] box.  The one
+   remaining exemption is the prefix B+-tree, which materialises
+   suffixes. *)
+
+let fresh_keys ~seed ~n =
+  let rng = Prng.create (Int64.of_int seed) in
+  (rng, Keygen.uniform ~rng ~key_len ~alphabet:8 n)
+
+(* Incrementally inserted index over [n] keys (the shape the direct and
+   indirect cases have always used). *)
+let inserted make ~n =
+  let mem, records = Support.make_env () in
+  let ix = make mem records in
+  let rng, keys = fresh_keys ~seed:99 ~n in
+  Array.iter
+    (fun k ->
+      let rid = Record_store.insert records ~key:k ~payload:Bytes.empty in
+      ignore (ix.Index.insert k ~rid))
+    keys;
+  (ix, rng, keys)
+
+(* Bulk-loaded index, so blocked layouts actually place the nodes. *)
+let bulk_loaded make ~n =
+  let mem, records = Support.make_env () in
+  let ix = make mem records in
+  let rng, keys = fresh_keys ~seed:99 ~n in
+  let sorted = Array.copy keys in
+  Array.sort Key.compare sorted;
+  let entries =
+    Array.map (fun k -> (k, Record_store.insert records ~key:k ~payload:Bytes.empty)) sorted
+  in
+  ix.Index.of_sorted ~fill:1.0 entries;
+  (ix, rng, keys)
+
+let check_lookup_into_alloc sname (ix, rng, keys) =
+  let n = Array.length keys in
+  let m = 256 in
+  let probes = Array.init m (fun _ -> keys.(Prng.int rng n)) in
+  let out = Array.make m (-1) in
+  (* Warm-up: grow scratch arrays to the batch size. *)
+  for _ = 1 to 3 do
+    ix.Index.lookup_into probes out
+  done;
+  let rounds = 10 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ix.Index.lookup_into probes out
+  done;
+  let delta = Gc.minor_words () -. before in
+  let per_probe = delta /. float_of_int (rounds * m) in
+  if per_probe > 0.1 then
+    Alcotest.failf "%s: %.4f minor words per probe (%.0f over %d probes)" sname per_probe delta
+      (rounds * m);
+  Array.iter (fun r -> if r < 0 then Alcotest.failf "%s: probe missing" sname) out
 
 let test_zero_alloc () =
   List.iter
     (fun (sname, st, scheme) ->
-      let mem, records = Support.make_env () in
-      let ix = Index.make st scheme mem records in
-      let rng = Prng.create 99L in
-      let n = 6000 in
-      let keys = Keygen.uniform ~rng ~key_len ~alphabet:8 n in
-      Array.iter
-        (fun k ->
-          let rid = Record_store.insert records ~key:k ~payload:Bytes.empty in
-          ignore (ix.Index.insert k ~rid))
-        keys;
-      let m = 256 in
-      let probes = Array.init m (fun _ -> keys.(Prng.int rng n)) in
-      let out = Array.make m (-1) in
-      (* Warm-up: grow scratch arrays to the batch size. *)
-      for _ = 1 to 3 do
-        ix.Index.lookup_into probes out
-      done;
-      let rounds = 10 in
-      let before = Gc.minor_words () in
-      for _ = 1 to rounds do
-        ix.Index.lookup_into probes out
-      done;
-      let delta = Gc.minor_words () -. before in
-      let per_probe = delta /. float_of_int (rounds * m) in
-      if per_probe > 0.1 then
-        Alcotest.failf "%s: %.4f minor words per probe (%.0f over %d probes)" sname per_probe
-          delta (rounds * m))
+      check_lookup_into_alloc sname
+        (inserted (fun mem records -> Index.make st scheme mem records) ~n:6000))
     [
       ("B/direct", Index.B_tree, Layout.Direct { key_len });
       ("B/indirect", Index.B_tree, Layout.Indirect);
       ("T/direct", Index.T_tree, Layout.Direct { key_len });
       ("T/indirect", Index.T_tree, Layout.Indirect);
     ]
+
+let pk_bit = Layout.Partial { granularity = Pk_partialkey.Partial_key.Bit; l_bytes = 1 }
+
+(* The paper's schemes by registry tag, plus bit-granularity trees. *)
+let partial_makers =
+  Pk_core.Variants.ensure_registered ();
+  List.map
+    (fun tag -> (tag, fun mem records -> Index.Registry.build ~key_len tag mem records))
+    [ "pkB"; "pkT"; "pkB-blocked"; "pkT-blocked" ]
+  @ [
+      ("B/pk-bit-l1", fun mem records -> Index.make Index.B_tree pk_bit mem records);
+      ("T/pk-bit-l1", fun mem records -> Index.make Index.T_tree pk_bit mem records);
+    ]
+
+let test_zero_alloc_partial () =
+  List.iter
+    (fun (sname, make) ->
+      check_lookup_into_alloc sname (inserted make ~n:6000);
+      check_lookup_into_alloc (sname ^ " (bulk-loaded)") (bulk_loaded make ~n:6000))
+    partial_makers
+
+(* Single lookups: at most the [Some] box (2 words) per hit. *)
+let test_single_lookup_alloc () =
+  List.iter
+    (fun (sname, make) ->
+      let ix, rng, keys = bulk_loaded make ~n:6000 in
+      let n = Array.length keys in
+      let m = 2048 in
+      let probes = Array.init m (fun _ -> keys.(Prng.int rng n)) in
+      let run () =
+        let hits = ref 0 in
+        for i = 0 to m - 1 do
+          match ix.Index.lookup probes.(i) with Some _ -> incr hits | None -> ()
+        done;
+        !hits
+      in
+      ignore (run () : int);
+      (* The words the measurement itself boxes, taken off the total. *)
+      let overhead =
+        let b = Gc.minor_words () in
+        Gc.minor_words () -. b
+      in
+      let before = Gc.minor_words () in
+      let hits = run () in
+      let delta = Gc.minor_words () -. before -. overhead in
+      if hits <> m then Alcotest.failf "%s: %d of %d probes found" sname hits m;
+      let per_hit = delta /. float_of_int m in
+      if per_hit > 2.0 then
+        Alcotest.failf "%s: %.3f minor words per single lookup (%.0f over %d)" sname per_hit delta
+          m)
+    (partial_makers
+    @ List.map
+        (fun (sname, st, scheme) -> (sname, fun mem records -> Index.make st scheme mem records))
+        [
+          ("B/direct", Index.B_tree, Layout.Direct { key_len });
+          ("B/indirect", Index.B_tree, Layout.Indirect);
+          ("T/direct", Index.T_tree, Layout.Direct { key_len });
+          ("T/indirect", Index.T_tree, Layout.Indirect);
+        ])
 
 (* {2 Edge cases} *)
 
@@ -314,6 +402,11 @@ let () =
           Alcotest.test_case "errors" `Quick test_bulk_load_errors;
           Alcotest.test_case "fill clamped" `Quick test_fill_clamped;
         ] );
-      ("zero-alloc", [ Alcotest.test_case "direct+indirect lookup_into" `Quick test_zero_alloc ]);
+      ( "zero-alloc",
+        [
+          Alcotest.test_case "direct+indirect lookup_into" `Quick test_zero_alloc;
+          Alcotest.test_case "partial-key lookup_into" `Quick test_zero_alloc_partial;
+          Alcotest.test_case "single lookup boxes only the hit" `Quick test_single_lookup_alloc;
+        ] );
       ("edges", [ Alcotest.test_case "empty and errors" `Quick test_empty_and_errors ]);
     ]
