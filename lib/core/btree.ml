@@ -239,7 +239,7 @@ let rec insert_nonfull t node key rid ~base =
     end;
     if !descend_dup then false
     else
-      let child_base = if !pos = 0 then base else Some (entry_key t node (!pos - 1)) in
+      let child_base = if !pos = 0 then base else rec_ptr t node (!pos - 1) in
       insert_nonfull t (child t node !pos) key rid ~base:child_base
   end
 
@@ -270,11 +270,11 @@ let insert t key ~rid =
         let new_root = alloc_node t ~leaf:false in
         set_child t new_root 0 t.root;
         split_child t new_root 0;
-        fix_pk_after_separator t new_root 0 ~base:None;
+        fix_pk_after_separator t new_root 0 ~base:null;
         t.root <- new_root;
         t.tree_height <- t.tree_height + 1
       end;
-      let ok = insert_nonfull t t.root key rid ~base:None in
+      let ok = insert_nonfull t t.root key rid ~base:null in
       if ok then t.n_keys <- t.n_keys + 1;
       ok)
 
@@ -446,8 +446,8 @@ let borrow_from_left t parent ci ~base =
   if is_partial t then begin
     fix_pk t parent (ci - 1) ~base;
     fix_pk t parent ci ~base;
-    fix_pk t c 0 ~base:(Some (entry_key t parent (ci - 1)));
-    fix_pk t c 1 ~base:None
+    fix_pk t c 0 ~base:(rec_ptr t parent (ci - 1));
+    fix_pk t c 1 ~base:null
   end
 
 (* Right sibling lends its first entry via parent[ci]. *)
@@ -464,8 +464,8 @@ let borrow_from_right t parent ci ~base =
   if is_partial t then begin
     fix_pk t parent ci ~base;
     fix_pk t parent (ci + 1) ~base;
-    fix_pk t c cn ~base:None;
-    fix_pk t rs 0 ~base:(Some (entry_key t parent ci))
+    fix_pk t c cn ~base:null;
+    fix_pk t rs 0 ~base:(rec_ptr t parent ci)
   end
 
 (* Merge child [j], parent entry [j] and child [j+1] into child [j]. *)
@@ -484,7 +484,7 @@ let merge_children t parent j ~base =
   remove_child t parent (j + 1);
   free_node t r;
   if is_partial t then begin
-    fix_pk t l ln ~base:None;
+    fix_pk t l ln ~base:null;
     (* The right half's first entry keeps the separator as base — its
        copied pk is already correct.  The parent entry that slid into
        position [j] has a new predecessor. *)
@@ -548,13 +548,12 @@ let rec delete_rec t node key ~base =
       fix_pk t node pos ~base;
       fix_pk t node (pos + 1) ~base;
       let ok =
-        delete_rec t lc pred_key
-          ~base:(if pos = 0 then base else Some (entry_key t node (pos - 1)))
+        delete_rec t lc pred_key ~base:(if pos = 0 then base else rec_ptr t node (pos - 1))
       in
       assert ok;
       (* The right subtree's leftmost chain is based on entry [pos],
          whose value changed. *)
-      refresh_chain t (child t node (pos + 1)) ~base:(Some pred_key);
+      refresh_chain t (child t node (pos + 1)) ~base:pred_rid;
       true
     end
     else if num_keys t rc > min_keys t rc then begin
@@ -563,15 +562,15 @@ let rec delete_rec t node key ~base =
       write_entry t node pos ~key:succ_key ~rid:succ_rid;
       fix_pk t node pos ~base;
       fix_pk t node (pos + 1) ~base;
-      let ok = delete_rec t rc succ_key ~base:(Some succ_key) in
+      let ok = delete_rec t rc succ_key ~base:succ_rid in
       assert ok;
-      refresh_chain t (child t node (pos + 1)) ~base:(Some succ_key);
+      refresh_chain t (child t node (pos + 1)) ~base:succ_rid;
       true
     end
     else begin
       (* Both neighbours minimal: merge around the key and recurse. *)
       let merged = merge_children t node pos ~base in
-      delete_rec t merged key ~base:(if pos = 0 then base else Some (entry_key t node (pos - 1)))
+      delete_rec t merged key ~base:(if pos = 0 then base else rec_ptr t node (pos - 1))
     end
   end
   else begin
@@ -581,7 +580,7 @@ let rec delete_rec t node key ~base =
     if found' then delete_rec t node key ~base
     else begin
       ignore ci;
-      let child_base = if pos' = 0 then base else Some (entry_key t node (pos' - 1)) in
+      let child_base = if pos' = 0 then base else rec_ptr t node (pos' - 1) in
       delete_rec t (child t node pos') key ~base:child_base
     end
   end
@@ -590,7 +589,7 @@ let delete t key =
   if t.root = null then false
   else
     guarded t (fun () ->
-        let ok = delete_rec t t.root key ~base:None in
+        let ok = delete_rec t t.root key ~base:null in
         if ok then t.n_keys <- t.n_keys - 1;
         (* Shrink the root when it empties.  Not gated on [ok]: the
            preemptive rebalancing of the descent can merge the root's
@@ -607,7 +606,7 @@ let delete t key =
             free_node t t.root;
             t.root <- only;
             t.tree_height <- t.tree_height - 1;
-            refresh_chain t t.root ~base:None
+            refresh_chain t t.root ~base:null
           end;
         ok)
 
@@ -710,9 +709,9 @@ let load_sorted t ~fill ~plan entries =
       let lo_g = if leaf then items.(!pos) else kid_lo.(!kid) in
       los.(i) <- lo_g;
       if is_partial t then begin
-        fix_pk t node 0 ~base:(if lo_g = 0 then None else Some (key (lo_g - 1)));
+        fix_pk t node 0 ~base:(if lo_g = 0 then null else rid (lo_g - 1));
         for j = 1 to sz - 1 do
-          fix_pk t node j ~base:None
+          fix_pk t node j ~base:null
         done
       end;
       pos := !pos + sz;

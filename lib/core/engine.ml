@@ -238,6 +238,9 @@ module Entries = struct
     cnt : Counters.t;
     gran : Partial_key.granularity;  (* [Byte] placeholder under plain schemes *)
     pkbuf : bytes;  (* stored-unit scratch of the packed comparisons *)
+    mutable fixbuf : bytes;
+        (* [fix_pk] scratch: the field being laid out, then the entry's
+           key and its base key; grows to the longest pair seen *)
   }
 
   let make ~name ~reg ~records ~scheme ~entries_at cnt =
@@ -256,6 +259,7 @@ module Entries = struct
       cnt;
       gran;
       pkbuf = Layout.units_buf ();
+      fixbuf = Bytes.create 64;
     }
 
   let entry_addr c node i = node + c.entries_at + (i * c.esz)
@@ -274,22 +278,43 @@ module Entries = struct
 
   let is_partial c = match c.scheme with Layout.Partial _ -> true | _ -> false
 
-  (* Recompute the partial key of entry [i] of a node with [n] entries.
-     [base] is the base key for entry 0 (None = virtual zero key);
-     other entries use their predecessor.  The caller has checked the
-     scheme is partial. *)
-  (* Only called from tree split/merge/insert bodies below an
-     established guard — audited escape. *)
+  (* Partial-key encoding of full keys — only the validators' oracle;
+     the maintenance paths encode in place ([fix_pk]). *)
   let encode c ~key ~base =
     match base with
     | None -> Partial_key.encode_initial c.gran ~l_bytes:(l_bytes c) ~key
     | Some b -> Partial_key.encode c.gran ~l_bytes:(l_bytes c) ~base:b ~key
 
+  let[@pklint.hot] fix_scratch c need =
+    if Bytes.length c.fixbuf < need then
+      c.fixbuf <- Bytes.create (pow2_at_least need) [@pklint.cold];
+    c.fixbuf
+
+  (* Recompute the partial key of entry [i] of a node with [n] entries.
+     [base] is the record address of entry 0's base key ([null] = the
+     virtual zero key); other entries use their predecessor.  Both keys
+     are copied into the ctx scratch with [entry_key]'s fault points and
+     charged ranges, and the field is laid out there and stored with one
+     write, so the only allocation left is the undo journal's copy of
+     the overwritten field.  The caller has checked the scheme is
+     partial.  Only called from tree split/merge/insert bodies below an
+     established guard — audited escape. *)
   let[@pklint.guarded] fix_pk c node i ~n ~base =
     if i >= 0 && i < n then begin
-      let key = entry_key c node i in
-      let base = if i = 0 then base else Some (entry_key c node (i - 1)) in
-      Layout.write_pk c.reg (entry_addr c node i) ~l_bytes:(l_bytes c) (encode c ~key ~base)
+      let a = entry_addr c node i in
+      let rid = Layout.rec_ptr c.reg a in
+      let base = if i = 0 then base else rec_ptr c node (i - 1) in
+      let l_bytes = l_bytes c in
+      let key_off = Layout.pk_field_bytes ~l_bytes in
+      let key_len = Record_store.key_len c.records rid in
+      let base_len = if base = null then -1 else Record_store.key_len c.records base in
+      let base_off = key_off + key_len in
+      let buf = fix_scratch c (base_off + max base_len 0) in
+      Record_store.read_key_into c.records rid ~len:key_len ~dst:buf ~dst_off:key_off;
+      if base <> null then
+        Record_store.read_key_into c.records base ~len:base_len ~dst:buf ~dst_off:base_off;
+      Layout.encode_pk_field c.gran ~l_bytes buf ~key_off ~key_len ~base_off ~base_len ~dst:0;
+      Layout.write_pk_field c.reg a ~l_bytes buf ~src_off:0
     end
 
   (* Re-derive entry [i]'s stored partial key from the record keys and

@@ -114,6 +114,7 @@ module Entries : sig
     cnt : Counters.t;
     gran : Partial_key.granularity;  (** [Byte] placeholder under plain schemes. *)
     pkbuf : bytes;  (** Stored-unit scratch of the packed comparisons. *)
+    mutable fixbuf : bytes;  (** {!fix_pk}'s key/field scratch; grows on demand. *)
   }
 
   val make :
@@ -131,10 +132,13 @@ module Entries : sig
   val l_bytes : ctx -> int
   val is_partial : ctx -> bool
 
-  val fix_pk : ctx -> int -> int -> n:int -> base:Key.t option -> unit
-  (** Recompute entry [i]'s stored partial key ([base] = base key for
-      entry 0; [None] is the virtual zero key).  Out-of-range [i] is a
-      no-op.  Partial schemes only. *)
+  val fix_pk : ctx -> int -> int -> n:int -> base:int -> unit
+  (** Recompute entry [i]'s stored partial key in place ([base] = record
+      address of entry 0's base key; [null] is the virtual zero key;
+      entry [i > 0] is based on entry [i - 1]).  Allocation-free: the
+      keys are copied into [fixbuf] with {!entry_key}'s fault points and
+      charged ranges, and the field is stored with one write.
+      Out-of-range [i] is a no-op.  Partial schemes only. *)
 
   val check_pk : ctx -> int -> int -> key:Key.t -> base:Key.t option -> unit
   (** Re-derive entry [i]'s partial key and [failwith] on mismatch. *)

@@ -22,9 +22,10 @@ let entry_size = function
   | Partial { l_bytes; _ } -> 8 + 4 + l_bytes
 
 let rec_ptr reg a = Mem.read_u64 reg a
-(* The three write primitives below are only reached from the
+(* The write primitives of this module are only reached from the
    trees' insert/delete/bulk-load bodies, each of which runs inside
-   [Engine.guarded] — audited escape, see DESIGN.md Â§11. *)
+   [Engine.guarded] (and, for [write_pk], from tests) — audited escape,
+   see DESIGN.md §11. *)
 let[@pklint.guarded] set_rec_ptr reg a v = Mem.write_u64 reg a v
 
 let read_direct_key reg a ~key_len = Mem.read_bytes reg ~off:(a + 8) ~len:key_len
@@ -65,17 +66,37 @@ let read_pk_len reg a = Mem.read_u8 reg (a + pk_len_at)
 let read_pk_first_byte reg a =
   if read_pk_len reg a = 0 then -1 else Mem.read_u8 reg (a + pk_bits_at)
 
+(* The whole partial-key field — [pk_off:u16][pk_len:u8][pad:u8]
+   [units:l_bytes] — is written as one range, so a refresh costs one
+   store (and one undo-journal entry), not four. *)
+let pk_field_bytes ~l_bytes = pk_bits_at - pk_off_at + l_bytes
+
+let set_pk_header buf ~dst ~pk_off ~pk_len =
+  if pk_off > 0xffff then invalid_arg "Layout: pk_off exceeds u16 (key too long)";
+  if pk_len > 0xff then invalid_arg "Layout: pk_len exceeds u8";
+  Bytes.set_uint16_le buf dst pk_off;
+  Bytes.set_uint8 buf (dst + 2) pk_len;
+  Bytes.set_uint8 buf (dst + 3) 0
+
+let[@pklint.guarded] write_pk_field reg a ~l_bytes buf ~src_off =
+  Mem.write_bytes reg ~off:(a + pk_off_at) ~src:buf ~src_off ~len:(pk_field_bytes ~l_bytes)
+
+let encode_pk_field g ~l_bytes buf ~key_off ~key_len ~base_off ~base_len ~dst =
+  let pk_off =
+    Partial_key.encode_into g ~l_bytes buf ~key_off ~key_len ~base_off ~base_len
+      ~dst:(dst + pk_bits_at - pk_off_at)
+  in
+  set_pk_header buf ~dst ~pk_off ~pk_len:(Partial_key.stored_len g ~l_bytes ~key_len ~pk_off)
+
+(* Writes a caller-built partial key (tests and tools); the trees use
+   the in-place pair above, under their guards — audited escape. *)
 let[@pklint.guarded] write_pk reg a ~l_bytes (pk : Partial_key.t) =
-  if pk.pk_off > 0xffff then invalid_arg "Layout.write_pk: pk_off exceeds u16 (key too long)";
-  if pk.pk_len > 0xff then invalid_arg "Layout.write_pk: pk_len exceeds u8";
-  Mem.write_u16 reg (a + pk_off_at) pk.pk_off;
-  Mem.write_u8 reg (a + pk_len_at) pk.pk_len;
   (* Zero the full field, then lay down the live prefix, so stale bytes
      from a previous occupant can never be read back. *)
-  let zeros = Bytes.make l_bytes '\000' in
-  Mem.write_bytes reg ~off:(a + pk_bits_at) ~src:zeros ~src_off:0 ~len:l_bytes;
-  let live = Bytes.length pk.pk_bits in
-  if live > 0 then Mem.write_bytes reg ~off:(a + pk_bits_at) ~src:pk.pk_bits ~src_off:0 ~len:live
+  let buf = Bytes.make (pk_field_bytes ~l_bytes) '\000' in
+  set_pk_header buf ~dst:0 ~pk_off:pk.pk_off ~pk_len:pk.pk_len;
+  Bytes.blit pk.pk_bits 0 buf (pk_bits_at - pk_off_at) (Bytes.length pk.pk_bits);
+  write_pk_field reg a ~l_bytes buf ~src_off:0
 
 let[@pklint.hot] resolve_pk_units_packed reg a g ~buf ~search st =
   let pk_len = read_pk_len reg a in

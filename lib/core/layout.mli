@@ -55,7 +55,34 @@ val read_pk_first_byte : Pk_mem.Mem.region -> int -> int
 (** First stored value byte, [-1] when [pk_len = 0] (used as the
     FINDBITTREE branch unit at byte granularity). *)
 
+val pk_field_bytes : l_bytes:int -> int
+(** Bytes of an entry's whole partial-key field
+    ([pk_off], [pk_len], pad and the [l_bytes] units). *)
+
+val encode_pk_field :
+  Pk_partialkey.Partial_key.granularity ->
+  l_bytes:int ->
+  bytes ->
+  key_off:int ->
+  key_len:int ->
+  base_off:int ->
+  base_len:int ->
+  dst:int ->
+  unit
+(** Lay out the stored form of the key's partial key against its base
+    (both held in the buffer; [base_len < 0] is the virtual zero key) as
+    one {!val:pk_field_bytes}-byte field at [buf.[dst..)], without
+    allocating ({!Pk_partialkey.Partial_key.encode_into}).  Raises
+    [Invalid_argument] when [pk_off] or [pk_len] overflows its field. *)
+
+val write_pk_field : Pk_mem.Mem.region -> int -> l_bytes:int -> bytes -> src_off:int -> unit
+(** Store a field laid out by {!val:encode_pk_field} at [buf.[src_off..)]
+    into the entry at [a]: one write over the whole field. *)
+
 val write_pk : Pk_mem.Mem.region -> int -> l_bytes:int -> Pk_partialkey.Partial_key.t -> unit
+(** Store a given partial key (zero-filled past its live units) —
+    {!val:write_pk_field} over a fresh buffer; the trees use the
+    in-place pair above. *)
 
 val units_buf : unit -> bytes
 (** A scratch buffer large enough for any entry's stored units

@@ -121,24 +121,51 @@ let rec_ptr t node i = Entries.rec_ptr t.ec node i
 let entry_key t node i = Entries.entry_key t.ec node i
 let is_partial t = Entries.is_partial t.ec
 
-(* {2 Partial-key maintenance (§4.1)} — scheme arithmetic lives in
-   {!module:Engine.Entries}; here only the base-key rules. *)
+(* Key payload of an entry about to move to another node: only the
+   direct scheme stores it inline ([write_entry] ignores it otherwise),
+   so the other schemes skip the record read. *)
+let moved_key t node i =
+  match t.cfg.scheme with
+  | Layout.Direct _ -> entry_key t node i
+  | Layout.Indirect | Layout.Partial _ -> Bytes.empty
 
-(* Recompute the partial key of entry [i]; [base] is the base for entry
-   0, i.e. the parent node's leftmost key (None at the root). *)
+(* {2 Partial-key maintenance (§4.1)} — scheme arithmetic lives in
+   {!module:Engine.Entries}; here only the base-key rules.
+
+   pk(X, i > 0) is derived from X's records i - 1 and i, and is
+   refreshed by the local edits ([insert_at], [remove_at], merges).
+   pk(X, 0) is derived from exactly two records: X's first record and
+   its parent's first record (the virtual zero key, [null], at the
+   root).  So entry 0 is refreshed only where one of those can have
+   changed:
+   - each recursive step ([insert_rec], [delete_rec], [insert_max],
+     [remove_max]) notes its node's first record [r0] on entry and ends
+     in [settle]: the children's entry 0 when the node's own first
+     record moved, and the subtree root's entry 0 against [base] when
+     the root node or its first record differ;
+   - a rotation refreshes the two nodes whose parent changed;
+   - [slide_fill] refreshes both children after pulling records into
+     position 0.
+   A child settled against a [base] that its parent's first record
+   later replaces is covered by the parent's own children refresh. *)
+
+(* Recompute the partial key of entry [i] of [node] ([null]: no-op);
+   [base] is the record address entry 0 is based on — the parent's
+   first record, [null] (virtual zero key) at the root. *)
 let fix_pk t node i ~base =
   if is_partial t && node <> null then Entries.fix_pk t.ec node i ~n:(num_keys t node) ~base
 
-(* After any change to [node]'s leftmost key or to its children's
-   parentage, restore the §4.1 invariants: node.key[0] is based on the
-   parent's key[0] ([base]), children's key[0] on node.key[0]. *)
-let fix_pk0_and_children t node ~base =
-  if is_partial t && node <> null then begin
-    fix_pk t node 0 ~base;
-    let k0 = Some (entry_key t node 0) in
-    if left t node <> null then fix_pk t (left t node) 0 ~base:k0;
-    if right t node <> null then fix_pk t (right t node) 0 ~base:k0
+(* Re-derive both children's entry 0 against [node]'s first record. *)
+let fix_children t node =
+  if is_partial t then begin
+    let r = rec_ptr t node 0 in
+    fix_pk t (left t node) 0 ~base:r;
+    fix_pk t (right t node) 0 ~base:r
   end
+
+(* A recursive step's [r0]: the node's first record (partial schemes
+   only; the plain schemes have nothing to refresh). *)
+let first_rec t node = if is_partial t then rec_ptr t node 0 else null
 
 (* {2 Raw entry movement} *)
 
@@ -146,21 +173,21 @@ let blit_entries t ~src ~src_i ~dst ~dst_i ~n = Entries.blit_entries t.ec ~src ~
 let write_entry t node i ~key ~rid = Entries.write_entry t.ec node i ~key ~rid
 
 (* Insert an entry at position [i]; fixes the local partial keys of
-   positions i and i+1 (entry 0 fixes, which need the parent's key, are
-   the caller's job via [fix_pk0_and_children]). *)
+   positions i and i+1 (entry 0, which needs the parent's first record,
+   is [settle]'s job). *)
 let insert_at t node i ~key ~rid =
   let n = num_keys t node in
   blit_entries t ~src:node ~src_i:i ~dst:node ~dst_i:(i + 1) ~n:(n - i);
   write_entry t node i ~key ~rid;
   set_num_keys t node (n + 1);
-  if i > 0 then fix_pk t node i ~base:None;
-  fix_pk t node (i + 1) ~base:None
+  if i > 0 then fix_pk t node i ~base:null;
+  fix_pk t node (i + 1) ~base:null
 
 let remove_at t node i =
   let n = num_keys t node in
   blit_entries t ~src:node ~src_i:(i + 1) ~dst:node ~dst_i:i ~n:(n - i - 1);
   set_num_keys t node (n - 1);
-  if i > 0 then fix_pk t node i ~base:None
+  if i > 0 then fix_pk t node i ~base:null
 
 (* {2 AVL rebalancing} *)
 
@@ -171,7 +198,7 @@ let balance_factor t node = node_height t (left t node) - node_height t (right t
 
 (* Rotations return the new subtree root.  Inside, the nodes whose
    parent changed get their entry-0 partial keys refreshed; the caller
-   refreshes the returned root against its own leftmost key. *)
+   refreshes the returned root against its own parent. *)
 let rotate_right t z =
   Fault.point "ttree.rotate";
   let y = left t z in
@@ -183,10 +210,8 @@ let rotate_right t z =
   update_height t z;
   update_height t y;
   if is_partial t then begin
-    let y0 = Some (entry_key t y 0) in
-    fix_pk t z 0 ~base:y0;
-    let z0 = Some (entry_key t z 0) in
-    if left t z <> null then fix_pk t (left t z) 0 ~base:z0
+    fix_pk t z 0 ~base:(rec_ptr t y 0);
+    fix_pk t (left t z) 0 ~base:(rec_ptr t z 0)
   end;
   y
 
@@ -199,10 +224,8 @@ let rotate_left t z =
   update_height t z;
   update_height t y;
   if is_partial t then begin
-    let y0 = Some (entry_key t y 0) in
-    fix_pk t z 0 ~base:y0;
-    let z0 = Some (entry_key t z 0) in
-    if right t z <> null then fix_pk t (right t z) 0 ~base:z0
+    fix_pk t z 0 ~base:(rec_ptr t y 0);
+    fix_pk t (right t z) 0 ~base:(rec_ptr t z 0)
   end;
   y
 
@@ -221,16 +244,19 @@ let merge_half_leaf t node =
       set_left t node null;
       set_num_keys t node (n + cn);
       (* Seam: the old first entry now follows the child's last. *)
-      fix_pk t node cn ~base:None
+      fix_pk t node cn ~base:null
     end
     else begin
       blit_entries t ~src:child ~src_i:0 ~dst:node ~dst_i:n ~n:cn;
       set_right t node null;
       set_num_keys t node (n + cn);
-      fix_pk t node n ~base:None
+      fix_pk t node n ~base:null
     end;
     free_node t child
   end
+
+let needs_fill t node =
+  left t node <> null && right t node <> null && num_keys t node < t.min_internal
 
 (* A T-tree special case: an inner node that becomes the subtree root
    through a rotation — or gains a second child — may hold very few
@@ -244,29 +270,30 @@ let merge_half_leaf t node =
    half-leaf and the loop stops.  Mutually recursive with [rebalance]
    and the removal helpers it reuses. *)
 let rec slide_fill t node =
-  if node <> null then
-    while left t node <> null && right t node <> null && num_keys t node < t.min_internal do
+  if node <> null && needs_fill t node then begin
+    while needs_fill t node do
       Fault.point "ttree.slide";
-      let l', (k, rid) = remove_max t (left t node) ~base:(Some (entry_key t node 0)) in
+      let l', (k, rid) = remove_max t (left t node) ~base:(rec_ptr t node 0) in
       set_left t node l';
       insert_at t node 0 ~key:k ~rid
-    done
+    done;
+    (* Position 0 now holds a record pulled from the left subtree: the
+       children's base changed. *)
+    fix_children t node
+  end
 
-and rebalance t node ~base =
+(* Rotations and refills leave every partial key of the returned
+   subtree valid except the new root's entry 0, which [settle] (the
+   caller) derives against the parent. *)
+and rebalance t node =
   let bf = balance_factor t node in
   let node' =
     if bf > 1 then begin
-      if balance_factor t (left t node) < 0 then begin
-        set_left t node (rotate_left t (left t node));
-        fix_pk t (left t node) 0 ~base:(Some (entry_key t node 0))
-      end;
+      if balance_factor t (left t node) < 0 then set_left t node (rotate_left t (left t node));
       rotate_right t node
     end
     else if bf < -1 then begin
-      if balance_factor t (right t node) > 0 then begin
-        set_right t node (rotate_right t (right t node));
-        fix_pk t (right t node) 0 ~base:(Some (entry_key t node 0))
-      end;
+      if balance_factor t (right t node) > 0 then set_right t node (rotate_right t (right t node));
       rotate_left t node
     end
     else begin
@@ -278,10 +305,24 @@ and rebalance t node ~base =
   (* Refilling can shrink the left subtree: refresh the height and
      re-check the balance before publishing the new root. *)
   update_height t node';
-  let node' = if abs (balance_factor t node') > 1 then rebalance t node' ~base else node' in
-  (* Sliding can change key[0] of the new root and its children. *)
-  if is_partial t then fix_pk0_and_children t node' ~base;
-  node'
+  if abs (balance_factor t node') > 1 then rebalance t node' else node'
+
+(* End of a recursive step over [node] (first record [r0] on entry)
+   whose edits left [node'] in its place ([null]: subtree emptied):
+   refresh the children's entry 0 if [node] kept its place but its
+   first record moved, rebalance, then refresh the subtree root's
+   entry 0 against [base] if the root node or its first record
+   changed.  (A rotation can lift the node holding [r0] — an evicted
+   minimum in a fresh leaf — to the root, so both are compared.) *)
+and settle t node ~r0 ~base node' =
+  if node' = null then null
+  else if not (is_partial t) then rebalance t node'
+  else begin
+    if node' = node && rec_ptr t node' 0 <> r0 then fix_children t node';
+    let root = rebalance t node' in
+    if root <> node || rec_ptr t root 0 <> r0 then fix_pk t root 0 ~base;
+    root
+  end
 
 (* Lehman–Carey case analysis after removing an entry from a node:
    - internal (two children) below minimum occupancy: refill with the
@@ -289,8 +330,9 @@ and rebalance t node ~base =
    - half-leaf (one child): merge the child's entries in when they fit;
    - leaf left empty: splice the node out.
    [fix_after_removal] applies these rules and returns the replacement
-   subtree root; the removal helpers use it on every node they drain. *)
-and fix_after_removal t node ~base =
+   subtree root; the removal helpers use it on every node they drain
+   (and [settle] the result). *)
+and fix_after_removal t node =
   let n = num_keys t node in
   let l = left t node and r = right t node in
   if n = 0 && l = null && r = null then begin
@@ -299,11 +341,12 @@ and fix_after_removal t node ~base =
   end
   else begin
     if l <> null && r <> null && n < t.min_internal then begin
-      (* Internal: pull the greatest lower bound up into position 0. *)
-      let l', (k, rid) = remove_max t l ~base:(Some (entry_key t node 0)) in
+      (* Internal: pull the greatest lower bound up into position 0.
+         The new first record changes the children's base, which the
+         caller's [settle] refreshes. *)
+      let l', (k, rid) = remove_max t l ~base:(if n = 0 then null else rec_ptr t node 0) in
       set_left t node l';
-      insert_at t node 0 ~key:k ~rid;
-      fix_pk0_and_children t node ~base
+      insert_at t node 0 ~key:k ~rid
     end;
     let l = left t node and r = right t node in
     if n > 0 && (l = null) <> (r = null) then merge_half_leaf t node;
@@ -317,23 +360,20 @@ and fix_after_removal t node ~base =
     else node
   end
 
-(* Remove and return the greatest entry of the subtree. *)
+(* Remove and return the greatest entry of the subtree (its key is
+   only read under the direct scheme, see [moved_key]). *)
 and remove_max t node ~base =
+  let r0 = first_rec t node in
   let n = num_keys t node in
   if right t node <> null then begin
-    let r, kv = remove_max t (right t node) ~base:(Some (entry_key t node 0)) in
+    let r, kv = remove_max t (right t node) ~base:r0 in
     set_right t node r;
-    (rebalance t node ~base, kv)
+    (settle t node ~r0 ~base node, kv)
   end
   else begin
-    let kv = (entry_key t node (n - 1), rec_ptr t node (n - 1)) in
+    let kv = (moved_key t node (n - 1), rec_ptr t node (n - 1)) in
     remove_at t node (n - 1);
-    let node' = fix_after_removal t node ~base in
-    if node' = null then (null, kv)
-    else begin
-      fix_pk0_and_children t node' ~base;
-      (rebalance t node' ~base, kv)
-    end
+    (settle t node ~r0 ~base (fix_after_removal t node), kv)
   end
 
 (* {2 Insert} *)
@@ -353,16 +393,11 @@ let new_leaf t ~key ~rid ~base =
 let rec insert_max t node ~key ~rid ~base =
   if node = null then new_leaf t ~key ~rid ~base
   else begin
-    (if right t node <> null then begin
-       let r = insert_max t (right t node) ~key ~rid ~base:(Some (entry_key t node 0)) in
-       set_right t node r
-     end
+    let r0 = first_rec t node in
+    (if right t node <> null then set_right t node (insert_max t (right t node) ~key ~rid ~base:r0)
      else if num_keys t node < t.max_entries then insert_at t node (num_keys t node) ~key ~rid
-     else begin
-       let r = new_leaf t ~key ~rid ~base:(Some (entry_key t node 0)) in
-       set_right t node r
-     end);
-    rebalance t node ~base
+     else set_right t node (new_leaf t ~key ~rid ~base:r0));
+    settle t node ~r0 ~base node
   end
 
 exception Duplicate
@@ -384,25 +419,21 @@ let guarded t f =
 let rec insert_rec t node key rid ~base =
   if node = null then new_leaf t ~key ~rid ~base
   else begin
+    let r0 = first_rec t node in
     let n = num_keys t node in
     let c0 = Entries.key_sign t.ec node 0 key in
     let cl = if n = 0 then -1 else Entries.key_sign t.ec node (n - 1) key in
     (if c0 = 0 then raise Duplicate
      else if c0 < 0 then begin
-       if left t node <> null then
-         set_left t node (insert_rec t (left t node) key rid ~base:(Some (entry_key t node 0)))
-       else if n < t.max_entries then begin
-         insert_at t node 0 ~key ~rid;
-         fix_pk0_and_children t node ~base
-       end
-       else set_left t node (new_leaf t ~key ~rid ~base:(Some (entry_key t node 0)))
+       if left t node <> null then set_left t node (insert_rec t (left t node) key rid ~base:r0)
+       else if n < t.max_entries then insert_at t node 0 ~key ~rid
+       else set_left t node (new_leaf t ~key ~rid ~base:r0)
      end
      else if cl = 0 then raise Duplicate
      else if cl > 0 then begin
-       if right t node <> null then
-         set_right t node (insert_rec t (right t node) key rid ~base:(Some (entry_key t node 0)))
+       if right t node <> null then set_right t node (insert_rec t (right t node) key rid ~base:r0)
        else if n < t.max_entries then insert_at t node n ~key ~rid
-       else set_right t node (new_leaf t ~key ~rid ~base:(Some (entry_key t node 0)))
+       else set_right t node (new_leaf t ~key ~rid ~base:r0)
      end
      else begin
        (* Bounding node. *)
@@ -411,18 +442,19 @@ let rec insert_rec t node key rid ~base =
        if n < t.max_entries then insert_at t node pos ~key ~rid
        else begin
          (* Full: evict the minimum to the left subtree (its greatest
-            lower bound node), then insert. *)
-         let ev_key = entry_key t node 0 and ev_rid = rec_ptr t node 0 in
+            lower bound node), then insert.  The left child's base moves
+            with the first record; [settle] refreshes it. *)
+         Fault.point "ttree.evict";
+         let ev_key = moved_key t node 0 and ev_rid = rec_ptr t node 0 in
          remove_at t node 0;
          insert_at t node (pos - 1) ~key ~rid;
-         fix_pk0_and_children t node ~base;
          let l =
-           insert_max t (left t node) ~key:ev_key ~rid:ev_rid ~base:(Some (entry_key t node 0))
+           insert_max t (left t node) ~key:ev_key ~rid:ev_rid ~base:(first_rec t node)
          in
          set_left t node l
        end
      end);
-    rebalance t node ~base
+    settle t node ~r0 ~base node
   end
 
 let insert t key ~rid =
@@ -433,10 +465,9 @@ let insert t key ~rid =
            (Bytes.length key))
   | _ -> ());
   guarded t (fun () ->
-      match insert_rec t t.root key rid ~base:None with
+      match insert_rec t t.root key rid ~base:null with
       | root ->
           t.root <- root;
-          fix_pk0_and_children t t.root ~base:None;
           t.n_keys <- t.n_keys + 1;
           true
       | exception Duplicate -> false)
@@ -452,38 +483,34 @@ exception Not_present
 let rec delete_rec t node key ~base =
   if node = null then raise Not_present
   else begin
+    let r0 = first_rec t node in
     let n = num_keys t node in
     let c0 = Entries.key_sign t.ec node 0 key in
     let cl = if n = 0 then 1 else Entries.key_sign t.ec node (n - 1) key in
-    let node =
+    let node' =
       if c0 < 0 then begin
-        set_left t node (delete_rec t (left t node) key ~base:(Some (entry_key t node 0)));
+        set_left t node (delete_rec t (left t node) key ~base:r0);
         node
       end
       else if cl > 0 then begin
-        set_right t node (delete_rec t (right t node) key ~base:(Some (entry_key t node 0)));
+        set_right t node (delete_rec t (right t node) key ~base:r0);
         node
       end
       else begin
         let pos, found = locate t node key in
         if not found then raise Not_present;
         remove_at t node pos;
-        fix_after_removal t node ~base
+        fix_after_removal t node
       end
     in
-    if node = null then null
-    else begin
-      fix_pk0_and_children t node ~base;
-      rebalance t node ~base
-    end
+    settle t node ~r0 ~base node'
   end
 
 let delete t key =
   guarded t (fun () ->
-      match delete_rec t t.root key ~base:None with
+      match delete_rec t t.root key ~base:null with
       | root ->
           t.root <- root;
-          fix_pk0_and_children t t.root ~base:None;
           t.n_keys <- t.n_keys - 1;
           true
       | exception Not_present -> false)
@@ -685,10 +712,10 @@ let load_sorted t ~fill ~plan entries =
       if is_partial t then begin
         fix_pk t node 0 ~base;
         for j = 1 to sz - 1 do
-          fix_pk t node j ~base:None
+          fix_pk t node j ~base:null
         done
       end;
-      let k0 = Some (fst entries.(start)) in
+      let k0 = snd entries.(start) in
       let nl = if clo < mid then 1 else 0 and nr = if mid + 1 < chi then 1 else 0 in
       let cbase = next_idx.(d + 1) in
       next_idx.(d + 1) <- cbase + nl + nr;
@@ -701,7 +728,7 @@ let load_sorted t ~fill ~plan entries =
       (node, h)
     end
   in
-  let root, _ = build 0 m ~base:None ~d:0 ~idx:0 in
+  let root, _ = build 0 m ~base:null ~d:0 ~idx:0 in
   t.root <- root;
   t.n_keys <- n
 

@@ -66,5 +66,75 @@ let[@pklint.hot] initial_packed g k =
 
 let initial_state g k = Key.Packed.unpack (initial_packed g k)
 
+(* {2 In-place encoding} — [encode]/[encode_initial] over key bytes
+   already sitting in a caller-owned buffer: the maintenance paths'
+   form, which allocates nothing.  [encode] stays the validators'
+   oracle; the two agree unit for unit (checked by the test suite). *)
+
+let[@inline] byte_at buf off len i = if i < len then Char.code (Bytes.get buf (off + i)) else 0
+
+(* First byte in [0, common) where the two ranges differ, or [common]. *)
+let rec diff_byte buf ka ba common i =
+  if i = common || Bytes.get buf (ka + i) <> Bytes.get buf (ba + i) then i
+  else diff_byte buf ka ba common (i + 1)
+
+(* First nonzero byte of the range, or its length. *)
+let rec nonzero_byte buf ka len i =
+  if i = len || Bytes.get buf (ka + i) <> '\000' then i else nonzero_byte buf ka len (i + 1)
+
+(* First differing bit of the ranges, each zero-padded to [n] bytes;
+   -1 when there is none ({!Bitops.first_diff_bit}'s [None]). *)
+let rec diff_bit buf ka kl ba bl n i =
+  if i = n then -1
+  else
+    let x = byte_at buf ka kl i lxor byte_at buf ba bl i in
+    if x = 0 then diff_bit buf ka kl ba bl n (i + 1) else (8 * i) + Bitops.leading_zeros8 x
+
+let key_equals_base () = invalid_arg "Partial_key.encode: key equals base"
+
+(* [pk_off] of the key against the base, or against the virtual zero
+   key when [base_len < 0] — where an all-zero key yields its length
+   in units, [encode_initial]'s "diff at end". *)
+let diff_into g buf ~key_off ~key_len ~base_off ~base_len =
+  match g with
+  | Byte ->
+      if base_len < 0 then nonzero_byte buf key_off key_len 0
+      else
+        let common = min key_len base_len in
+        let d = diff_byte buf key_off base_off common 0 in
+        if d = common && key_len = base_len then key_equals_base () else d
+  | Bit ->
+      if base_len < 0 then
+        let d = diff_bit buf key_off key_len 0 0 key_len 0 in
+        if d < 0 then 8 * key_len else d
+      else
+        let d = diff_bit buf key_off key_len base_off base_len (max key_len base_len) 0 in
+        if d < 0 then key_equals_base () else d
+
+let stored_len g ~l_bytes ~key_len ~pk_off =
+  match g with
+  | Bit -> min (8 * l_bytes) (clamp_nonneg ((8 * key_len) - pk_off - 1))
+  | Byte -> min l_bytes (clamp_nonneg (key_len - pk_off))
+
+let encode_into g ~l_bytes buf ~key_off ~key_len ~base_off ~base_len ~dst =
+  let d = diff_into g buf ~key_off ~key_len ~base_off ~base_len in
+  let pk_len = stored_len g ~l_bytes ~key_len ~pk_off:d in
+  (match g with
+  | Byte ->
+      Bytes.blit buf (key_off + d) buf dst pk_len;
+      Bytes.fill buf (dst + pk_len) (l_bytes - pk_len) '\000'
+  | Bit ->
+      (* The [pk_len] bits after the difference bit, left-aligned.  Bits
+         past the key read as 0 and [pk_len] only stops short of [l]
+         at the key's end, so the tail needs no mask. *)
+      let s = d + 1 in
+      let q = s lsr 3 and r = s land 7 in
+      for j = 0 to l_bytes - 1 do
+        let hi = byte_at buf key_off key_len (q + j) in
+        let lo = byte_at buf key_off key_len (q + j + 1) in
+        Bytes.set buf (dst + j) (Char.unsafe_chr (((hi lsl r) lor (lo lsr (8 - r))) land 0xff))
+      done);
+  d
+
 let reconstructed_prefix_units g t =
   match g with Bit -> t.pk_off + 1 + t.pk_len | Byte -> t.pk_off + t.pk_len

@@ -55,6 +55,28 @@ val encode_initial : granularity -> l_bytes:int -> key:Pk_keys.Key.t -> t
     root): encoded against the virtual all-zero key, matching
     {!val:initial_state}. *)
 
+val encode_into :
+  granularity ->
+  l_bytes:int ->
+  bytes ->
+  key_off:int ->
+  key_len:int ->
+  base_off:int ->
+  base_len:int ->
+  dst:int ->
+  int
+(** [encode_into g ~l_bytes buf ~key_off ~key_len ~base_off ~base_len ~dst]
+    is {!val:encode} over key and base bytes held in [buf] ([base_len < 0]:
+    the virtual zero key, as {!val:encode_initial}) without allocating:
+    writes the [l_bytes]-byte stored-unit field (live units, then zero
+    fill) at [buf.[dst..)] and returns [pk_off]; [pk_len] is
+    {!val:stored_len}.  The field must not overlap the key.  Raises
+    [Invalid_argument] like {!val:encode} when key equals base. *)
+
+val stored_len : granularity -> l_bytes:int -> key_len:int -> pk_off:int -> int
+(** Units {!val:encode} stores for a [key_len]-byte key whose
+    difference from its base is at [pk_off]. *)
+
 val initial_state : granularity -> Pk_keys.Key.t -> Pk_keys.Key.cmp * int
 (** Search state before the first comparison: [(Gt, d)] with [d] the
     search key's difference from the virtual all-zero key (its first

@@ -50,6 +50,11 @@ let read_key t addr =
   let len = key_len t addr in
   Mem.read_bytes t.reg ~off:(addr + header_bytes) ~len
 
+(* [read_key]'s traffic into a caller buffer: the caller reads
+   [key_len] first (to size the buffer), then the bytes. *)
+let read_key_into t addr ~len ~dst ~dst_off =
+  Mem.read_into t.reg ~off:(addr + header_bytes) ~dst ~dst_off ~len
+
 let read_payload t addr =
   let klen = key_len t addr in
   let plen = payload_len t addr in

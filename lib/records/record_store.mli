@@ -42,6 +42,11 @@ val key_len : t -> int -> int
 val read_key : t -> int -> Pk_keys.Key.t
 (** Copy the full key out (charges the key bytes). *)
 
+val read_key_into : t -> int -> len:int -> dst:bytes -> dst_off:int -> unit
+(** Copy the record's [len]-byte key (its {!val:key_len}) into [dst]
+    at [dst_off]; with the [key_len] read first, the same fault points
+    and charged ranges as {!val:read_key}, without allocating. *)
+
 val read_payload : t -> int -> bytes
 
 val count : t -> int

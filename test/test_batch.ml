@@ -359,6 +359,67 @@ let test_single_lookup_alloc () =
           ("T/indirect", Index.T_tree, Layout.Indirect);
         ])
 
+(* {2 Write-path allocation: partial keys cost no more than indirect}
+
+   The undo journal makes every write allocate (a logged copy of the
+   bytes it overwrites), so the contract is relative: a steady-state
+   pkT / pkB insert or delete may allocate at most 1.5x the minor words
+   of the same tree under the indirect scheme, on the same keys and the
+   same operations.  Partial-key maintenance itself must add little. *)
+
+let write_words make ~keys ~fresh ~victims =
+  let mem, records = Support.make_env () in
+  let ix = make mem records in
+  let sorted = Array.copy keys in
+  Array.sort Key.compare sorted;
+  ix.Index.of_sorted ~gap:0.1 ~fill:1.0
+    (Array.map (fun k -> (k, Record_store.insert records ~key:k ~payload:Bytes.empty)) sorted);
+  let rids = Array.map (fun k -> Record_store.insert records ~key:k ~payload:Bytes.empty) fresh in
+  let m = Array.length fresh / 2 in
+  (* Warm-up: the first half of the fresh keys and victims (grows the
+     trees' scratch buffers). *)
+  for i = 0 to m - 1 do
+    if not (ix.Index.insert fresh.(i) ~rid:rids.(i)) then Alcotest.fail "warm-up insert";
+    if not (ix.Index.delete victims.(i)) then Alcotest.fail "warm-up delete"
+  done;
+  let timed f =
+    let before = Gc.minor_words () in
+    for i = m to (2 * m) - 1 do
+      if not (f i) then Alcotest.failf "write %d refused" i
+    done;
+    (Gc.minor_words () -. before) /. float_of_int m
+  in
+  let ins = timed (fun i -> ix.Index.insert fresh.(i) ~rid:rids.(i)) in
+  let del = timed (fun i -> ix.Index.delete victims.(i)) in
+  ix.Index.validate ();
+  (ins, del)
+
+let test_write_path_alloc () =
+  Pk_core.Variants.ensure_registered ();
+  let rng = Prng.create 17L in
+  let all = Keygen.uniform ~rng ~key_len:20 ~alphabet:12 24_000 in
+  let keys = Array.sub all 0 20_000 and fresh = Array.sub all 20_000 4_000 in
+  let victims = Array.sub (Support.shuffled ~seed:18 keys) 0 4_000 in
+  List.iter
+    (fun (tag, st) ->
+      let ins, del =
+        write_words (fun mem records -> Index.Registry.build ~key_len:20 tag mem records)
+          ~keys ~fresh ~victims
+      in
+      let ins0, del0 =
+        write_words (fun mem records -> Index.make st Layout.Indirect mem records) ~keys ~fresh
+          ~victims
+      in
+      let check what words floor =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s: %.1f minor words/op <= 1.5 x indirect %.1f" tag what words floor)
+          true
+          (words <= 1.5 *. floor)
+      in
+      check "insert" ins ins0;
+      check "delete" del del0)
+    [ ("pkT", Index.T_tree); ("pkB", Index.B_tree) ]
+
 (* {2 Edge cases} *)
 
 let test_empty_and_errors () =
@@ -407,6 +468,7 @@ let () =
           Alcotest.test_case "direct+indirect lookup_into" `Quick test_zero_alloc;
           Alcotest.test_case "partial-key lookup_into" `Quick test_zero_alloc_partial;
           Alcotest.test_case "single lookup boxes only the hit" `Quick test_single_lookup_alloc;
+          Alcotest.test_case "pk writes allocate <= 1.5x indirect" `Quick test_write_path_alloc;
         ] );
       ("edges", [ Alcotest.test_case "empty and errors" `Quick test_empty_and_errors ]);
     ]

@@ -248,6 +248,55 @@ let test_resolve_by_offset_table () =
   check "eq tie needs units" (Pk_compare.resolve_by_offset ~rel:Key.Eq ~off:3 ~pk_off:3)
     Pk_compare.Need_units
 
+(* {2 In-place encoding == encode}
+
+   [encode_into] is what the trees store; [encode]/[encode_initial]
+   are the validators' oracle.  Random keys of 0-5 bytes over
+   {0, 1, 0x80, 0xff} (prefix pairs, zero extensions, all-zero keys),
+   every l from 0 to 3, both granularities, both base kinds. *)
+
+let prop_encode_into seed =
+  let rng = Prng.create (Int64.of_int seed) in
+  let rand_key () =
+    Bytes.init (Prng.int rng 6) (fun _ -> [| '\000'; '\001'; '\x80'; '\xff' |].(Prng.int rng 4))
+  in
+  let g = if Prng.bool rng then Partial_key.Bit else Partial_key.Byte in
+  let l_bytes = Prng.int rng 4 in
+  let key = rand_key () in
+  let base = if Prng.int rng 4 = 0 then None else Some (rand_key ()) in
+  let expect =
+    match base with
+    | None -> Ok (Partial_key.encode_initial g ~l_bytes ~key)
+    | Some b -> (
+        try Ok (Partial_key.encode g ~l_bytes ~base:b ~key) with Invalid_argument m -> Error m)
+  in
+  (* Key and base at odd offsets of a buffer with junk around them. *)
+  let kl = Bytes.length key in
+  let bl = match base with None -> -1 | Some b -> Bytes.length b in
+  let buf = Bytes.make (3 + l_bytes + kl + max bl 0 + 2) '\x5a' in
+  let key_off = 1 + l_bytes + 1 and dst = 1 in
+  Bytes.blit key 0 buf key_off kl;
+  let base_off = key_off + kl in
+  Option.iter (fun b -> Bytes.blit b 0 buf base_off bl) base;
+  let got =
+    try
+      let pk_off =
+        Partial_key.encode_into g ~l_bytes buf ~key_off ~key_len:kl ~base_off ~base_len:bl ~dst
+      in
+      Ok (pk_off, Bytes.sub buf dst l_bytes)
+    with Invalid_argument m -> Error m
+  in
+  match (expect, got) with
+  | Error a, Error b -> String.equal a b
+  | Ok pk, Ok (pk_off, field) ->
+      let pk_len = Partial_key.stored_len g ~l_bytes ~key_len:kl ~pk_off in
+      let width = Bytes.length pk.Partial_key.pk_bits in
+      pk_off = pk.Partial_key.pk_off
+      && pk_len = pk.Partial_key.pk_len
+      && Bytes.equal (Bytes.sub field 0 width) pk.Partial_key.pk_bits
+      && Bytes.for_all (fun c -> c = '\000') (Bytes.sub field width (l_bytes - width))
+  | _ -> false
+
 let () =
   Alcotest.run "pk_partialkey"
     [
@@ -277,6 +326,7 @@ let () =
           Alcotest.test_case "initial encode" `Quick test_encode_initial;
           Alcotest.test_case "initial state" `Quick test_initial_state;
           Alcotest.test_case "units and prefixes" `Quick test_units_and_prefix;
+          Support.seeded_qtest ~count:2000 "in-place encode agrees" prop_encode_into;
         ] );
       ( "resolve-by-offset",
         [ Alcotest.test_case "decision table" `Quick test_resolve_by_offset_table ] );

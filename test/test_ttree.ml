@@ -8,6 +8,7 @@ module Ttree = Pk_core.Ttree
 module Index = Pk_core.Index
 module Record_store = Pk_records.Record_store
 module Partial_key = Pk_partialkey.Partial_key
+module Fault = Pk_fault.Fault
 
 let make_ttree ?(node_bytes = 192) scheme =
   let mem, records = Support.make_env () in
@@ -228,6 +229,93 @@ let test_seq_from () =
   Alcotest.(check int) "full cursor scan" 999
     (Seq.length (Ttree.seq_from b (Bytes.make 8 '\000')))
 
+(* {2 Per-operation partial-key invariant}
+
+   Every partial-key T-tree variant, with nodes of 3-6 entries so that
+   rotations, slide refills, half-leaf merges, full-node evictions
+   ([insert_max]) and greatest-lower-bound pulls ([remove_max]) all
+   fire, replayed from a seed against a model: [validate] — which
+   re-encodes every stored partial key from the full keys — runs after
+   every single insert and delete, and the tree's contents must equal
+   the model's.  Keys are 6 bytes over {0x00, 0x40, 0x80, 0xc0}, so
+   neighbours share long prefixes and the all-zero key can occur. *)
+
+let pk_variants =
+  let p granularity l_bytes = Layout.Partial { granularity; l_bytes } in
+  [
+    ("pkT", p Partial_key.Byte 2, Layout.Flat);
+    ("pkT-blocked", p Partial_key.Byte 2, Layout.blocked_default);
+    ("pk-byte-l1", p Partial_key.Byte 1, Layout.Flat);
+    ("pk-bit-l1", p Partial_key.Bit 1, Layout.Flat);
+    ("pk-bit-l2", p Partial_key.Bit 2, Layout.Flat);
+  ]
+
+let per_op_invariant (name, scheme, layout) seed =
+  let rng = Prng.create (Int64.of_int seed) in
+  let entries = 3 + Prng.int rng 4 in
+  let node_bytes = 24 + (entries * Layout.entry_size scheme) in
+  let mem, records = Support.make_env () in
+  let t = Ttree.create mem records { Ttree.scheme; node_bytes; naive_search = false; layout } in
+  let pool = Support.sorted_keys ~seed ~key_len:6 ~alphabet:4 80 in
+  let n = Array.length pool in
+  let rids = Array.map (fun k -> Record_store.insert records ~key:k ~payload:Bytes.empty) pool in
+  let live = Array.make n false in
+  let fail step fmt =
+    Printf.ksprintf (fun m -> Alcotest.failf "%s seed %d step %d: %s" name seed step m) fmt
+  in
+  let check step =
+    (try Ttree.validate t with Failure m -> fail step "validate: %s" m);
+    let got = ref [] in
+    Ttree.iter t (fun ~key ~rid -> got := (key, rid) :: !got);
+    let expect = ref [] in
+    for i = n - 1 downto 0 do
+      if live.(i) then expect := (pool.(i), rids.(i)) :: !expect
+    done;
+    if List.rev !got <> !expect then fail step "contents differ from the model"
+  in
+  (* A third of the runs start from a gapped bulk load (the blocked
+     variant's placement only applies there). *)
+  if Prng.int rng 3 = 0 then begin
+    let picked = List.filter (fun _ -> Prng.bool rng) (List.init n Fun.id) in
+    Ttree.bulk_load t ~gap:0.2 (Array.of_list (List.map (fun i -> (pool.(i), rids.(i))) picked));
+    List.iter (fun i -> live.(i) <- true) picked;
+    check 0
+  end;
+  (* Grow, then shrink: deletes drain internal nodes and half-leaves. *)
+  for step = 1 to 240 do
+    let i = Prng.int rng n in
+    if Prng.int rng 100 < (if step <= 120 then 75 else 25) then begin
+      if Ttree.insert t pool.(i) ~rid:rids.(i) = live.(i) then fail step "insert %d result" i;
+      live.(i) <- true
+    end
+    else begin
+      if Ttree.delete t pool.(i) <> live.(i) then fail step "delete %d result" i;
+      live.(i) <- false
+    end;
+    check step
+  done;
+  true
+
+let per_op_qtest ((name, _, _) as variant) =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 4141 |])
+    (QCheck2.Test.make ~name:("per-op pk invariant " ^ name) ~count:25 ~print:string_of_int
+       QCheck2.Gen.(int_bound 1_000_000)
+       (per_op_invariant variant))
+
+(* The property only means something if the refresh paths run: count
+   the T-tree's fault-site hits (arming an unused site turns counting
+   on, nothing is injected) over fixed seeds of every variant. *)
+let test_per_op_coverage () =
+  Fault.reset ();
+  Fault.arm "test.count-only" (Fault.One_shot max_int);
+  Fun.protect ~finally:(fun () -> Fault.reset ()) (fun () ->
+      List.iter (fun v -> for seed = 1 to 6 do ignore (per_op_invariant v seed) done) pk_variants;
+      List.iter
+        (fun site ->
+          Alcotest.(check bool) (Printf.sprintf "%s fired (%d hits)" site (Fault.hits site)) true
+            (Fault.hits site > 0))
+        [ "ttree.rotate"; "ttree.slide"; "ttree.merge"; "ttree.evict" ])
+
 let conformance name structure scheme ~key_len ~alphabet =
   Alcotest.test_case name `Slow (fun () ->
       Support.conformance_run
@@ -252,6 +340,9 @@ let () =
           Alcotest.test_case "space characteristics" `Quick test_space_characteristics;
           Alcotest.test_case "seq_from cursor" `Quick test_seq_from;
         ] );
+      ( "per-op invariant",
+        Alcotest.test_case "refresh paths fire" `Quick test_per_op_coverage
+        :: List.map per_op_qtest pk_variants );
       ( "conformance",
         List.map
           (fun (name, scheme) ->
