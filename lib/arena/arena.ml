@@ -12,8 +12,9 @@ type journal = {
 (* Copy-on-write shadow: pre-images of every 256-byte page overwritten
    since the shadow was attached.  A fixed two-level page table (row
    published before page, page before the arena overwrite) means a
-   snapshot reader in another systhread always sees either "page absent,
-   arena bytes still old" or "page present" — never torn state. *)
+   snapshot reader in another systhread sees either "page absent, arena
+   bytes still old" or "page present" — provided it re-probes after
+   reading an arena byte ([shadow_get_u8]). *)
 type shadow = {
   mutable rows : Bytes.t array array; (* [||] row = nothing captured there *)
   mutable cow_bytes : int;
@@ -143,10 +144,22 @@ let[@inline] shadow_page s page =
   let row = Array.get s.rows (page lsr l2_bits) in
   if Array.length row = 0 then Bytes.empty else Array.unsafe_get row (page land l2_mask)
 
+(* The re-probe of [shadow_get_u8], out of line so the compiler cannot
+   merge it with the first probe. *)
+let[@inline never] reprobe s page = shadow_page s page
+
 let shadow_get_u8 t s off =
-  let pg = shadow_page s (off lsr page_bits) in
-  if Bytes.length pg = 0 then Char.code (Bytes.get t.data off)
-  else Char.code (Bytes.unsafe_get pg (off land page_mask))
+  let page = off lsr page_bits in
+  let pg = shadow_page s page in
+  if Bytes.length pg > 0 then Char.code (Bytes.unsafe_get pg (off land page_mask))
+  else
+    let v = Char.code (Bytes.get t.data off) in
+    (* The writer can capture the page and overwrite the byte between
+       the probe above and this read, so [v] may be post-attach.  It
+       publishes the page before overwriting, so if the page is still
+       absent now, [v] is the old byte; otherwise the page holds it. *)
+    let pg = reprobe s page in
+    if Bytes.length pg = 0 then v else Char.code (Bytes.unsafe_get pg (off land page_mask))
 
 (* Multi-byte shadow reads compose byte-wise: a value can straddle a
    captured and an uncaptured page.  Native-int wraparound in the u64
@@ -321,28 +334,28 @@ let free t off size =
 
 (* {2 Raw accessors} *)
 
-let get_u8 t off = Char.code (Bytes.get t.data off)
+let[@inline] get_u8 t off = Char.code (Bytes.get t.data off)
 
 let set_u8 t off v =
   log_bytes t off 1;
   capture t off 1;
   Bytes.set t.data off (Char.chr (v land 0xff))
 
-let get_u16 t off = Bytes.get_uint16_le t.data off
+let[@inline] get_u16 t off = Bytes.get_uint16_le t.data off
 
 let set_u16 t off v =
   log_bytes t off 2;
   capture t off 2;
   Bytes.set_uint16_le t.data off (v land 0xffff)
 
-let get_u32 t off = Int32.to_int (Bytes.get_int32_le t.data off) land 0xffffffff
+let[@inline] get_u32 t off = Int32.to_int (Bytes.get_int32_le t.data off) land 0xffffffff
 
 let set_u32 t off v =
   log_bytes t off 4;
   capture t off 4;
   Bytes.set_int32_le t.data off (Int32.of_int v)
 
-let get_u64 t off = Int64.to_int (Bytes.get_int64_le t.data off)
+let[@inline] get_u64 t off = Int64.to_int (Bytes.get_int64_le t.data off)
 
 let set_u64 t off v =
   log_bytes t off 8;
@@ -354,24 +367,26 @@ let blit_from_bytes t ~src ~src_off ~dst_off ~len =
   capture t dst_off len;
   Bytes.blit src src_off t.data dst_off len
 
-let blit_to_bytes t ~src_off ~dst ~dst_off ~len =
-  Bytes.blit t.data src_off dst dst_off len
+(* Windows of up to 8 bytes (a node's stored partial-key units, the
+   common read) are copied by a loop: cheaper than the C [Bytes.blit]
+   call at that size. *)
+let[@inline] blit_to_bytes t ~src_off ~dst ~dst_off ~len =
+  if
+    len <= 8 && len >= 0 && src_off >= 0 && dst_off >= 0
+    && src_off <= Bytes.length t.data - len
+    && dst_off <= Bytes.length dst - len
+  then
+    for i = 0 to len - 1 do
+      Bytes.unsafe_set dst (dst_off + i) (Bytes.unsafe_get t.data (src_off + i))
+    done
+  else Bytes.blit t.data src_off dst dst_off len
 
 let blit_within t ~src_off ~dst_off ~len =
   log_bytes t dst_off len;
   capture t dst_off len;
   Bytes.blit t.data src_off t.data dst_off len
 
-let compare_with_bytes t ~off b ~b_off ~len =
-  let rec loop i =
-    if i = len then 0
-    else
-      let a = Char.code (Bytes.unsafe_get t.data (off + i)) in
-      let c = Char.code (Bytes.unsafe_get b (b_off + i)) in
-      if a <> c then compare a c else loop (i + 1)
-  in
-  if off + len > Bytes.length t.data || b_off + len > Bytes.length b then
-    invalid_arg "Arena.compare_with_bytes: out of bounds";
-  loop 0
+let[@inline] first_diff t ~off b ~b_off ~len =
+  Pk_util.Bytes_diff.first t.data ~a_off:off b ~b_off ~len
 
 let sub_bytes t ~off ~len = Bytes.sub t.data off len

@@ -93,7 +93,9 @@ val in_txn : t -> bool
     Single-writer discipline: mutations (and hence captures) must come
     from one thread, but shadow reads may proceed concurrently from
     other systhreads — page-table rows are published before pages, and
-    pages before the overwrite, so a reader never observes torn state. *)
+    pages before the overwrite, and a read that finds its page absent
+    probes again after reading the live byte, so a reader never
+    observes a byte written after attachment. *)
 
 type shadow
 
@@ -152,9 +154,10 @@ val blit_to_bytes : t -> src_off:int -> dst:bytes -> dst_off:int -> len:int -> u
 val blit_within : t -> src_off:int -> dst_off:int -> len:int -> unit
 (** [blit_within] handles overlapping regions correctly. *)
 
-val compare_with_bytes : t -> off:int -> bytes -> b_off:int -> len:int -> int
-(** Lexicographic (unsigned byte) comparison of the arena region
-    against a slice of [bytes]; negative/zero/positive like [compare].  *)
+val first_diff : t -> off:int -> bytes -> b_off:int -> len:int -> int
+(** Index of the first byte where the arena region [\[off, off+len)]
+    and [b\[b_off, b_off+len)] differ, or [len] if they are equal
+    ({!Pk_util.Bytes_diff.first} over the arena's backing bytes). *)
 
 val sub_bytes : t -> off:int -> len:int -> bytes
 (** Copy a region out as fresh [bytes]. *)

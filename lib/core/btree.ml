@@ -95,10 +95,10 @@ let[@pklint.hot] route_ev t node ci =
 
 (* {2 Node accessors} *)
 
-let num_keys t node = Mem.read_u16 t.reg node
+let[@inline] num_keys t node = Mem.read_u16 t.reg node
 let set_num_keys t node n = Mem.write_u16 t.reg node n
-let is_leaf t node = Mem.read_u8 t.reg (node + 2) = 1
-let child t node i = Mem.read_u64 t.reg (node + t.child_base + (8 * i))
+let[@inline] is_leaf t node = Mem.read_u8 t.reg (node + 2) = 1
+let[@inline] child t node i = Mem.read_u64 t.reg (node + t.child_base + (8 * i))
 let set_child t node i v = Mem.write_u64 t.reg (node + t.child_base + (8 * i)) v
 let capacity t node = if is_leaf t node then t.leaf_max else t.internal_max
 let min_keys t node = (capacity t node - 1) / 2

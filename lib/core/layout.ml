@@ -21,7 +21,7 @@ let entry_size = function
   | Indirect -> 8
   | Partial { l_bytes; _ } -> 8 + 4 + l_bytes
 
-let rec_ptr reg a = Mem.read_u64 reg a
+let[@inline] rec_ptr reg a = Mem.read_u64 reg a
 (* The write primitives of this module are only reached from the
    trees' insert/delete/bulk-load bodies, each of which runs inside
    [Engine.guarded] (and, for [write_pk], from tests) — audited escape,
@@ -60,8 +60,8 @@ let read_pk reg a ~granularity : Partial_key.t =
   in
   { pk_off; pk_len; pk_bits }
 
-let read_pk_off reg a = Mem.read_u16 reg (a + pk_off_at)
-let read_pk_len reg a = Mem.read_u8 reg (a + pk_len_at)
+let[@inline] read_pk_off reg a = Mem.read_u16 reg (a + pk_off_at)
+let[@inline] read_pk_len reg a = Mem.read_u8 reg (a + pk_len_at)
 
 let read_pk_first_byte reg a =
   if read_pk_len reg a = 0 then -1 else Mem.read_u8 reg (a + pk_bits_at)

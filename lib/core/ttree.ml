@@ -85,13 +85,13 @@ let visit t node = Counters.visit (cnt t) node
 
 (* {2 Node accessors} *)
 
-let num_keys t node = Mem.read_u16 t.reg node
+let[@inline] num_keys t node = Mem.read_u16 t.reg node
 let set_num_keys t node n = Mem.write_u16 t.reg node n
 let node_height t node = if node = null then 0 else Mem.read_u8 t.reg (node + 2)
 let set_node_height t node h = Mem.write_u8 t.reg (node + 2) h
-let left t node = Mem.read_u64 t.reg (node + 8)
+let[@inline] left t node = Mem.read_u64 t.reg (node + 8)
 let set_left t node v = Mem.write_u64 t.reg (node + 8) v
-let right t node = Mem.read_u64 t.reg (node + 16)
+let[@inline] right t node = Mem.read_u64 t.reg (node + 16)
 let set_right t node v = Mem.write_u64 t.reg (node + 16) v
 let height t = node_height t t.root
 let is_leaf t node = left t node = null && right t node = null

@@ -69,32 +69,33 @@ let pause f =
 
 let armed () = !active
 
-let point site =
-  (* The armed branch allocates (site-state records, float draws); it
-     only runs during fault campaigns, never in the steady-state hot
-     path, where [point] is a single flag test. *)
-  if !active then
-    (let s = state_of site in
-     s.hit_count <- s.hit_count + 1;
-     match s.sched with
-     | None -> ()
-     | Some sched ->
-         let fire =
-           match sched with
-           | Every_nth n -> s.hit_count mod n = 0
-           | Probability p -> Prng.float !rng 1.0 < p
-           | One_shot k -> s.hit_count = k
-         in
-         if fire then begin
-           s.injected <- s.injected + 1;
-           (match sched with
-           | One_shot _ ->
-               s.sched <- None;
-               refresh_active ()
-           | Every_nth _ | Probability _ -> ());
-           raise (Injected site)
-         end)
-    [@pklint.cold]
+(* The armed body: allocates (site-state records, float draws), but
+   only runs during fault campaigns.  Kept out of line so the inlined
+   [point] below is a single flag test at every call site. *)
+let[@inline never] armed_point site =
+  (let s = state_of site in
+   s.hit_count <- s.hit_count + 1;
+   match s.sched with
+   | None -> ()
+   | Some sched ->
+       let fire =
+         match sched with
+         | Every_nth n -> s.hit_count mod n = 0
+         | Probability p -> Prng.float !rng 1.0 < p
+         | One_shot k -> s.hit_count = k
+       in
+       if fire then begin
+         s.injected <- s.injected + 1;
+         (match sched with
+         | One_shot _ ->
+             s.sched <- None;
+             refresh_active ()
+         | Every_nth _ | Probability _ -> ());
+         raise (Injected site)
+       end)
+  [@pklint.cold]
+
+let[@inline] point site = if !active then armed_point site
 
 let hits site = match Hashtbl.find_opt table site with Some s -> s.hit_count | None -> 0
 let injections site = match Hashtbl.find_opt table site with Some s -> s.injected | None -> 0

@@ -25,34 +25,27 @@ let length = Bytes.length
 let equal = Bytes.equal
 let compare = Bytes.compare
 
-let compare_detail a b =
+(* Both scans run on the one first-difference kernel. *)
+let[@inline] detail_from a b from =
   let la = Bytes.length a and lb = Bytes.length b in
   let common = min la lb in
-  let rec scan i =
-    if i = common then
-      if la = lb then (Eq, common) else if la < lb then (Lt, common) else (Gt, common)
-    else
-      let x = Char.code (Bytes.unsafe_get a i) and y = Char.code (Bytes.unsafe_get b i) in
-      if x <> y then ((if x < y then Lt else Gt), i) else scan (i + 1)
+  let i =
+    if from >= common then common
+    else from + Pk_util.Bytes_diff.first a ~a_off:from b ~b_off:from ~len:(common - from)
   in
-  scan 0
+  if i < common then ((if Bytes.unsafe_get a i < Bytes.unsafe_get b i then Lt else Gt), i)
+  else if la = lb then (Eq, common)
+  else if la < lb then (Lt, common)
+  else (Gt, common)
+
+let compare_detail a b = detail_from a b 0
 
 let compare_bit_detail a b =
   match Bitops.first_diff_bit a b with
   | None -> (Eq, 8 * Bytes.length a)
   | Some d -> (cmp_of_int (Bytes.compare a b), d)
 
-let sub_compare k ~from other =
-  let la = Bytes.length k and lb = Bytes.length other in
-  let common = min la lb in
-  let rec scan i =
-    if i >= common then
-      if la = lb then (Eq, common) else if la < lb then (Lt, common) else (Gt, common)
-    else
-      let x = Char.code (Bytes.unsafe_get k i) and y = Char.code (Bytes.unsafe_get other i) in
-      if x <> y then ((if x < y then Lt else Gt), i) else scan (i + 1)
-  in
-  scan from
+let sub_compare k ~from other = detail_from k other from
 
 let to_hex k =
   String.concat "" (List.map (Printf.sprintf "%02x") (List.map Char.code (List.of_seq (Bytes.to_seq k))))

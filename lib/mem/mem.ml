@@ -66,7 +66,7 @@ let[@inline] check_writable r name =
 
 (* View-aware byte read: the one branch every snapshot read path pays.
    Top-level and allocation-free — used by the hot comparison scans. *)
-let[@pklint.hot] view_get_u8 r off =
+let[@inline] [@pklint.hot] view_get_u8 r off =
   match r.view with
   | None -> Arena.get_u8 r.arena off
   | Some s -> Arena.shadow_get_u8 r.arena s off
@@ -115,7 +115,7 @@ let[@inline] charge r off len =
       (Cachesim.touch sim ~addr:(r.region_base + off) ~len [@pklint.cold])
   | Some _ | None -> ()
 
-let read_u8 r off =
+let[@inline] read_u8 r off =
   Fault.point "mem.read";
   charge r off 1;
   view_get_u8 r off
@@ -126,7 +126,7 @@ let write_u8 r off v =
   charge r off 1;
   Arena.set_u8 r.arena off v
 
-let read_u16 r off =
+let[@inline] read_u16 r off =
   Fault.point "mem.read";
   charge r off 2;
   match r.view with
@@ -139,7 +139,7 @@ let write_u16 r off v =
   charge r off 2;
   Arena.set_u16 r.arena off v
 
-let read_u32 r off =
+let[@inline] read_u32 r off =
   Fault.point "mem.read";
   charge r off 4;
   match r.view with
@@ -152,7 +152,7 @@ let write_u32 r off v =
   charge r off 4;
   Arena.set_u32 r.arena off v
 
-let read_u64 r off =
+let[@inline] read_u64 r off =
   Fault.point "mem.read";
   charge r off 8;
   match r.view with
@@ -175,7 +175,7 @@ let read_bytes r ~off ~len =
       Arena.shadow_blit_to_bytes r.arena s ~src_off:off ~dst ~dst_off:0 ~len;
       dst
 
-let read_into r ~off ~dst ~dst_off ~len =
+let[@inline] read_into r ~off ~dst ~dst_off ~len =
   Fault.point "mem.read";
   charge r off len;
   match r.view with
@@ -195,14 +195,20 @@ let move r ~src_off ~dst_off ~len =
   charge r dst_off len;
   Arena.blit_within r.arena ~src_off ~dst_off ~len
 
-(* Top-level recursion (not an inner [let rec]) so no closure is
+(* Code 0/1/2 of two operands equal on their common prefix: the
+   shorter one is smaller. *)
+let[@inline] length_code (len : int) (key_len : int) =
+  if len = key_len then 1 else if len < key_len then 0 else 2
+
+(* The snapshot-view comparison: a byte scan through the shadow pages.
+   Top-level recursion (not an inner [let rec]) so no closure is
    allocated: the comparison core of every lookup path must not touch
    the OCaml heap.  Charges exactly the examined prefix, like a real
    memcmp. *)
 let[@pklint.hot] rec detail_scan r off (len : int) probe key_off (key_len : int) common i =
   if i >= common then begin
     if common > 0 then charge r off common;
-    (common lsl 2) lor (if len = key_len then 1 else if len < key_len then 0 else 2)
+    (common lsl 2) lor length_code len key_len
   end
   else
     let a = view_get_u8 r (off + i) in
@@ -213,9 +219,27 @@ let[@pklint.hot] rec detail_scan r off (len : int) probe key_off (key_len : int)
     end
     else detail_scan r off len probe key_off key_len common (i + 1)
 
-let[@pklint.hot] compare_packed r ~off ~len probe ~key_off ~key_len =
+(* Outside a view: the 8-bytes-per-step kernel finds the first
+   difference, then the charge is the scan's — the examined prefix. *)
+let[@pklint.hot] kernel_packed r off len probe key_off key_len =
+  let common = min len key_len in
+  let i = Arena.first_diff r.arena ~off probe ~b_off:key_off ~len:common in
+  if i < common then begin
+    charge r off (i + 1);
+    (i lsl 2)
+    lor if Arena.get_u8 r.arena (off + i) < Char.code (Bytes.unsafe_get probe (key_off + i)) then 0
+        else 2
+  end
+  else begin
+    if common > 0 then charge r off common;
+    (common lsl 2) lor length_code len key_len
+  end
+
+let[@inline] [@pklint.hot] compare_packed r ~off ~len probe ~key_off ~key_len =
   Fault.point "mem.read";
-  detail_scan r off len probe key_off key_len (min len key_len) 0
+  match r.view with
+  | None -> kernel_packed r off len probe key_off key_len
+  | Some _ -> detail_scan r off len probe key_off key_len (min len key_len) 0
 
 let compare_detail r ~off ~len probe ~key_off ~key_len =
   let p = compare_packed r ~off ~len probe ~key_off ~key_len in
@@ -224,10 +248,10 @@ let compare_detail r ~off ~len probe ~key_off ~key_len =
 let[@pklint.hot] compare_sign r ~off ~len probe ~key_off ~key_len =
   (compare_packed r ~off ~len probe ~key_off ~key_len land 3) - 1
 
-(* Sign-only scan that charges nothing itself: [compare_read] charges
-   the whole range up front. *)
+(* Sign-only view scan that charges nothing itself: [compare_read]
+   charges the whole range up front. *)
 let[@pklint.hot] rec read_scan r off (len : int) probe (key_len : int) common i =
-  if i >= common then if len = key_len then 0 else if len < key_len then -1 else 1
+  if i >= common then length_code len key_len - 1
   else
     let a = view_get_u8 r (off + i) in
     let b = Char.code (Bytes.get probe i) in
@@ -237,6 +261,13 @@ let[@pklint.hot] compare_read r ~off ~len probe =
   Fault.point "mem.read";
   charge r off len;
   let key_len = Bytes.length probe in
-  read_scan r off len probe key_len (min len key_len) 0
+  let common = min len key_len in
+  match r.view with
+  | Some _ -> read_scan r off len probe key_len common 0
+  | None ->
+      let i = Arena.first_diff r.arena ~off probe ~b_off:0 ~len:common in
+      if i < common then
+        if Arena.get_u8 r.arena (off + i) < Char.code (Bytes.unsafe_get probe i) then -1 else 1
+      else length_code len key_len - 1
 
 let touch r ~off ~len = charge r off len

@@ -130,7 +130,10 @@ val compare_detail :
     negative/zero/positive and [diff] is the index of the first
     differing byte ([= min len key_len] when one operand is a prefix).
     Charges exactly the prefix of region bytes examined — matching a
-    real memcmp's memory traffic. *)
+    real memcmp's memory traffic.  Outside a snapshot view the first
+    difference is found 8 bytes per step ({!Pk_util.Bytes_diff.first});
+    a view scans its shadow pages byte by byte.  The charge is the same
+    either way. *)
 
 val compare_packed :
   region -> off:int -> len:int -> bytes -> key_off:int -> key_len:int -> int

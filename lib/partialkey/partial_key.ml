@@ -73,11 +73,6 @@ let initial_state g k = Key.Packed.unpack (initial_packed g k)
 
 let[@inline] byte_at buf off len i = if i < len then Char.code (Bytes.get buf (off + i)) else 0
 
-(* First byte in [0, common) where the two ranges differ, or [common]. *)
-let rec diff_byte buf ka ba common i =
-  if i = common || Bytes.get buf (ka + i) <> Bytes.get buf (ba + i) then i
-  else diff_byte buf ka ba common (i + 1)
-
 (* First nonzero byte of the range, or its length. *)
 let rec nonzero_byte buf ka len i =
   if i = len || Bytes.get buf (ka + i) <> '\000' then i else nonzero_byte buf ka len (i + 1)
@@ -101,7 +96,7 @@ let diff_into g buf ~key_off ~key_len ~base_off ~base_len =
       if base_len < 0 then nonzero_byte buf key_off key_len 0
       else
         let common = min key_len base_len in
-        let d = diff_byte buf key_off base_off common 0 in
+        let d = Pk_util.Bytes_diff.first buf ~a_off:key_off buf ~b_off:base_off ~len:common in
         if d = common && key_len = base_len then key_equals_base () else d
   | Bit ->
       if base_len < 0 then

@@ -37,7 +37,7 @@ let insert t ~key ~payload =
   t.live <- t.live + 1;
   addr
 
-let key_len t addr = Mem.read_u16 t.reg addr
+let[@inline] key_len t addr = Mem.read_u16 t.reg addr
 
 let payload_len t addr = Mem.read_u16 t.reg (addr + 2)
 

@@ -165,12 +165,14 @@ let test_blits_and_compare () =
   let dst = Bytes.make 11 ' ' in
   Arena.blit_to_bytes a ~src_off:off ~dst ~dst_off:0 ~len:11;
   Alcotest.(check string) "round trip" "hello world" (Bytes.to_string dst);
-  Alcotest.(check int) "compare equal" 0
-    (Arena.compare_with_bytes a ~off (Bytes.of_string "hello world") ~b_off:0 ~len:11);
-  Alcotest.(check bool) "compare less" true
-    (Arena.compare_with_bytes a ~off (Bytes.of_string "hello worlds") ~b_off:0 ~len:11 = 0);
-  Alcotest.(check bool) "compare differs" true
-    (Arena.compare_with_bytes a ~off (Bytes.of_string "hellp world") ~b_off:0 ~len:11 < 0)
+  Alcotest.(check int) "compare equal" 11
+    (Arena.first_diff a ~off (Bytes.of_string "hello world") ~b_off:0 ~len:11);
+  Alcotest.(check int) "compare prefix" 11
+    (Arena.first_diff a ~off (Bytes.of_string "hello worlds") ~b_off:0 ~len:11);
+  Alcotest.(check int) "compare differs" 4
+    (Arena.first_diff a ~off (Bytes.of_string "hellp world") ~b_off:0 ~len:11);
+  Alcotest.(check bool) "differing byte is smaller" true
+    (Arena.get_u8 a (off + 4) < Char.code 'p')
 
 let test_blit_within_overlap () =
   let a = make () in

@@ -105,9 +105,27 @@ let entries_equal a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun (ka, ra) (kb, rb) -> Key.equal ka kb && Int.equal ra rb) a b
 
+(* Whether two distinct keys share their zero-padded 7-byte prefix,
+   by a direct scan: exactly the inputs on which the sort must
+   dereference to break a tie (byte-equal keys never need one). *)
+let has_distinct_prefix_collision entries =
+  let first_with = Hashtbl.create 64 in
+  Array.exists
+    (fun (k, _) ->
+      let prefix = Bytes.make Rebuild.pk_bytes '\000' in
+      Bytes.blit k 0 prefix 0 (min Rebuild.pk_bytes (Bytes.length k));
+      let prefix = Bytes.to_string prefix in
+      match Hashtbl.find_opt first_with prefix with
+      | Some k0 -> not (Key.equal k0 k)
+      | None ->
+          Hashtbl.add first_with prefix k;
+          false)
+    entries
+
 let check_sort_matches ~seed n =
   let records, entries = mk_entries ~seed n in
   let want = oracle entries in
+  let collides = has_distinct_prefix_collision entries in
   List.for_all
     (fun domains ->
       let got, stats = Rebuild.sort ~domains ~store:records entries in
@@ -117,8 +135,15 @@ let check_sort_matches ~seed n =
       if stats.Rebuild.sorted_keys <> Array.length want then
         Alcotest.failf "seed %d, %d domains: sorted_keys %d, want %d" seed domains
           stats.Rebuild.sorted_keys (Array.length want);
-      if n > 1 && stats.Rebuild.tie_derefs = 0 then
-        Alcotest.failf "seed %d: collision-heavy input took no tie dereferences" seed;
+      (* Keys with one packed prefix sort as one block; a block with
+         two distinct keys has a distinct adjacent pair, which the run
+         sorts and the merge must compare directly: a dereference. *)
+      if collides && stats.Rebuild.tie_derefs = 0 then
+        Alcotest.failf "seed %d, %d domains: colliding input took no tie dereferences" seed
+          domains;
+      if (not collides) && stats.Rebuild.tie_derefs > 0 then
+        Alcotest.failf "seed %d, %d domains: %d tie dereferences without a prefix collision"
+          seed domains stats.Rebuild.tie_derefs;
       true)
     [ 1; 2; 4 ]
 

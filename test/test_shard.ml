@@ -317,6 +317,10 @@ let test_concurrent_readers () =
   let keys = Support.sorted_keys ~seed:21 ~key_len ~alphabet 400 in
   let ops, entries = load eng records keys in
   let stop = Atomic.make false in
+  (* Readers that have completed a read: the writer starts only when
+     every reader is running, or on a loaded machine it can finish
+     its rounds before a reader domain is first scheduled. *)
+  let started = Atomic.make 0 in
   let spawn_reader seed =
     Domain.spawn (fun () ->
         let rd = Shard.Engine.reader ~seed eng in
@@ -325,6 +329,7 @@ let test_concurrent_readers () =
         let n = Array.length entries in
         let i = ref 0 in
         while not (Atomic.get stop) do
+          if !reads = 1 then Atomic.incr started;
           let k, rid = entries.(!i mod n) in
           (match Shard.Engine.read rd k with
           | Some r when r = rid -> ()
@@ -342,6 +347,9 @@ let test_concurrent_readers () =
         (!reads, restarts, !bad))
   in
   let readers = [ spawn_reader 101; spawn_reader 202 ] in
+  while Atomic.get started < List.length readers do
+    Domain.cpu_relax ()
+  done;
   (* the writer churns foreign keys only: the frozen population the
      readers check is never touched *)
   for round = 1 to 400 do

@@ -143,6 +143,65 @@ let mutate_live ix records keys ~seed =
   ignore (ix.Index.insert_batch batch ~rids);
   fresh
 
+
+(* A view read racing the writer's first overwrite of a page: the
+   reader can find the page uncaptured, the writer then capture it and
+   overwrite the byte, and the reader read the new byte.  Every read
+   through the view must still return the byte as of the pin.  Each
+   round pins a view, lets a reader domain sweep the pages while the
+   writer overwrites them one by one, and releases the view. *)
+let test_view_racing_writer () =
+  let mem = Mem.create () in
+  let r = Mem.new_region mem ~name:"race" () in
+  let pages = 64 in
+  let base = Mem.alloc r ~align:256 (pages * 256) in
+  let at p = base + (p * 256) + 17 in
+  let pinned = ref 1 in
+  for p = 0 to pages - 1 do
+    Mem.write_u8 r (at p) !pinned
+  done;
+  (* The view of round [n] with its pinned byte; the reader reports
+     each round it has finished in [swept], and the writer releases a
+     view only after that. *)
+  let view : (Mem.region * int * int) option Atomic.t = Atomic.make None in
+  let swept = Atomic.make 0 and quit = Atomic.make false and torn = Atomic.make 0 in
+  let reader =
+    Domain.spawn (fun () ->
+        while not (Atomic.get quit) do
+          match Atomic.get view with
+          | Some (v, want, n) when n > Atomic.get swept ->
+              (try
+                 for _ = 1 to 100 do
+                   for p = 0 to pages - 1 do
+                     if Mem.read_u8 v (at p) <> want then Atomic.incr torn
+                   done
+                 done
+               with Invalid_argument _ -> Atomic.incr torn);
+              Atomic.set swept n
+          | Some _ | None -> Domain.cpu_relax ()
+        done)
+  in
+  let rounds = 2000 in
+  for round = 1 to rounds do
+    let v = Mem.snapshot_view r in
+    Atomic.set view (Some (v, !pinned, round));
+    let next = (!pinned mod 250) + 1 in
+    for p = 0 to pages - 1 do
+      Mem.write_u8 r (at p) next;
+      for _ = 1 to 20 do
+        Domain.cpu_relax ()
+      done
+    done;
+    while Atomic.get swept < round do
+      Domain.cpu_relax ()
+    done;
+    Atomic.set view None;
+    Mem.release_view v;
+    pinned := next
+  done;
+  Atomic.set quit true;
+  Domain.join reader;
+  Alcotest.(check int) "reads of post-pin bytes through a view" 0 (Atomic.get torn)
 let test_isolation () =
   List.iter
     (fun tag ->
@@ -330,7 +389,11 @@ let test_writer_thread () =
 let () =
   Alcotest.run "snapshot"
     [
-      ("mem", [ Alcotest.test_case "view lifecycle" `Quick test_mem_view ]);
+      ( "mem",
+        [
+          Alcotest.test_case "view lifecycle" `Quick test_mem_view;
+          Alcotest.test_case "view reads racing a writer" `Quick test_view_racing_writer;
+        ] );
       ( "index",
         [
           Alcotest.test_case "isolation across all schemes" `Quick test_isolation;
